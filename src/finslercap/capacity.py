@@ -3,12 +3,19 @@
 The discrete energy of an admissible base field u is the quadrature of
 |grad u^V|^p against the bundle volume density, with p equal to the base
 dimension (p = 2 here, though the functional accepts any p > 1).  Plates
-are rasterized shapes pinned to 0 (outer plate) and 1 (inner plate); free
-node values are clamped to [0, 1] and driven by projected gradient descent
-with a backtracking line search.  Overlapping plates are a well-defined
-degenerate condenser with infinite capacity, not an error; plates closer
-than two cells without overlapping are rejected as unresolvable on the
-grid.
+are rasterized shapes pinned to 0 (outer plate) and 1 (inner plate).
+
+For p = 2 the energy is a quadratic form, so its minimizer over the free
+nodes solves a symmetric positive-definite linear system; matrix-free
+conjugate gradients (Hestenes & Stiefel 1952) solve it.  The wide central
+stencil has no discrete maximum principle, so a p = 2 solution whose free
+values leave [0, 1] is finished by the solver for every other p: projected
+gradient descent with a backtracking line search, which clamps free values
+to [0, 1].
+
+Overlapping plates are a well-defined degenerate condenser with infinite
+capacity, not an error; plates closer than two cells without overlapping
+are rejected as unresolvable on the grid.
 
 Truncation caveat: compact-set capacities computed here depend on the grid
 rectangle, which stands in for the whole plane.  Values decrease toward the
@@ -31,7 +38,13 @@ from .shapes import Shape, outer_boundary
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Projected-gradient solver knobs."""
+    """Solver knobs.
+
+    ``tol`` and ``max_iter`` bound every solve, and ``warm_sweeps`` sets the
+    smoothing of the start field.  The line-search knobs (``step0`` to
+    ``min_step``) act only on projected gradient: p != 2, and the fallback
+    for a p = 2 solution that leaves [0, 1].
+    """
 
     tol: float = 1e-8          # max-norm of the projected free gradient
     max_iter: int = 50000
@@ -128,7 +141,14 @@ class EnergyFunctional:
             b = du2[:, :, None]
             q = (gi[..., 0, 0] * a * a + 2.0 * gi[..., 0, 1] * a * b
                  + gi[..., 1, 1] * b * b)
-            fac = self.power * q ** (self.power / 2.0 - 1.0) * self.wgt
+            if self.power < 2.0:
+                # q ** (p/2 - 1) blows up at q = 0, where the product with
+                # the vanishing gradient has the limit 0 for p > 1
+                fac = np.zeros_like(q)
+                np.power(q, self.power / 2.0 - 1.0, out=fac, where=q > 0.0)
+            else:
+                fac = q ** (self.power / 2.0 - 1.0)
+            fac = self.power * fac * self.wgt
             w1 = np.sum(fac * (gi[..., 0, 0] * a + gi[..., 0, 1] * b), axis=2)
             w2 = np.sum(fac * (gi[..., 0, 1] * a + gi[..., 1, 1] * b), axis=2)
         if self.bands is not None:
@@ -229,13 +249,84 @@ def minimize(cond, m, grid, cfg=SolverConfig(), power=None, region=None):
     func = EnergyFunctional(m, grid, power=power, region=region, pinned=pinned)
     u = _smooth_start(pinned, pin_vals, 0.5, cfg.warm_sweeps)
 
+    if func.power != 2.0:
+        u, E, history, it, res, converged = _projected_gradient(
+            func, u, pinned, pin_vals, cfg, cfg.max_iter)
+    else:
+        u, history, it, res = _conjugate_gradient(func, u, pinned, cfg)
+        converged = res < cfg.tol
+        free = u[~pinned]
+        if free.min() < 0.0 or free.max() > 1.0:
+            # finish by projection; counting the restart as one iteration
+            # keeps gradient calls = iterations + 1 on a converged solve
+            u, E, tail, more, res, converged = _projected_gradient(
+                func, np.clip(u, 0.0, 1.0), pinned, pin_vals, cfg,
+                max(cfg.max_iter - it, 0))
+            history += tail
+            it += 1 + more
+        else:
+            E = func.value(u)
+
+    return CapacityResult(value=E, minimizer=ScalarField(u, pinned),
+                          iterations=it, final_gradient_norm=res,
+                          converged=converged, grid=grid,
+                          energy_history=tuple(history))
+
+
+def _conjugate_gradient(func, u, pinned, cfg):
+    """Minimize a p = 2 functional over the free nodes by conjugate gradients.
+
+    ``0.5 * func.gradient`` is linear, so with pinned entries zeroed it is
+    the free-node operator A, and r = -0.5 * gradient(u) is the residual.
+    One gradient call gives the initial residual and one per iteration
+    gives A d for the search direction d.  The energy history follows
+    from E = 0.5 u . gradient(u) and the exact decrease alpha r.r of each
+    step, without value calls.
+    Stops when 2 max|r|, the max-norm of the free gradient, falls below
+    ``cfg.tol`` or after ``cfg.max_iter`` steps; returns (u, history,
+    iterations, 2 max|r|).
+    """
+    g = func.gradient(u)
+    E = 0.5 * float(np.vdot(u, g))
+    history = [E]
+    r = -0.5 * g
+    r[pinned] = 0.0
+    rr = float(np.vdot(r, r))
+    res = 2.0 * float(np.max(np.abs(r)))
+    d = r.copy()
+    it = 0
+    while res >= cfg.tol and it < cfg.max_iter:
+        Ad = 0.5 * func.gradient(d)
+        Ad[pinned] = 0.0
+        dAd = float(np.vdot(d, Ad))
+        if not dAd > 0.0:
+            break  # lost positive curvature to rounding
+        alpha = rr / dAd
+        u = u + alpha * d
+        r -= alpha * Ad
+        E -= alpha * rr
+        history.append(E)
+        it += 1
+        rr_new = float(np.vdot(r, r))
+        res = 2.0 * float(np.max(np.abs(r)))
+        d = r + (rr_new / rr) * d
+        rr = rr_new
+    return u, history, it, res
+
+
+def _projected_gradient(func, u, pinned, pin_vals, cfg, max_iter):
+    """Projected gradient with Armijo backtracking on the box [0, 1].
+
+    Returns (u, E, history, iterations, residual, converged).  A converged
+    run makes one gradient call more than it reports iterations.
+    """
     E = func.value(u)
     history = [E]
     step = cfg.step0
     converged = False
     res = math.inf
     it = 0
-    for it in range(1, cfg.max_iter + 1):
+    for it in range(1, max_iter + 1):
         g = func.gradient(u)
         g[pinned] = 0.0
         res = float(np.max(np.abs(u - np.clip(u - g, 0.0, 1.0))))
@@ -259,11 +350,7 @@ def minimize(cond, m, grid, cfg=SolverConfig(), power=None, region=None):
         E = E_t
         history.append(E)
         step *= cfg.grow
-
-    return CapacityResult(value=E, minimizer=ScalarField(u, pinned),
-                          iterations=it, final_gradient_norm=res,
-                          converged=converged, grid=grid,
-                          energy_history=tuple(history))
+    return u, E, history, it, res, converged
 
 
 def cap_compact(C, m, grid, cfg=SolverConfig(), power=None):

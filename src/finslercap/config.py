@@ -10,7 +10,11 @@ library.  Sections:
 [domain]    x1min/x1max/x2min/x2max, nx, ny, ntheta
 [condenser] c0, c1 = shape descriptors (``disk:cx,cy,r`` and friends)
 [solver]    tol, max_iter, step0, armijo, shrink, grow, min_step,
-            warm_sweeps, power
+            warm_sweeps, power; p = 2 is solved by conjugate gradients,
+            every other p by projected gradient, so the line-search
+            knobs step0 .. min_step act only when power != 2 (and on
+            the projected-gradient fallback for a p = 2 solution that
+            leaves [0, 1])
 [check]     which = comma list of check names; map = identity |
             similarity:scale[,angle[,sx,sy]] | power:p; sigma;
             sigma_claim (claimed factor used instead of the witnessed

@@ -490,11 +490,18 @@ def _solve_catalog(pairs, m, grid, cfg, power, threads):
             # candidate unusable at this resolution; drop it from the catalog
             return (math.inf, True)
 
+    # candidates whose plates rasterize alike pose one discrete problem
+    keys = [(c.c0.rasterize(grid).tobytes(), c.c1.rasterize(grid).tobytes())
+            for c in pairs]
+    distinct = {}
+    for k, c in zip(keys, pairs):
+        distinct.setdefault(k, c)
     if threads is not None and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            outs = list(ex.map(one, pairs))
+            solved = dict(zip(distinct, ex.map(one, distinct.values())))
     else:
-        outs = [one(c) for c in pairs]
+        solved = {k: one(c) for k, c in distinct.items()}
+    outs = [solved[k] for k in keys]
     vals = tuple(v for v, _ in outs)
     best, bi = math.inf, -1
     for i, v in enumerate(vals):

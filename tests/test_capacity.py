@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from finslercap.bundle import ScalarField, SphereBundleGrid, integrate
-from finslercap.capacity import (CondenserSpec, SolverConfig, cap_compact,
-                                 energy, energy_gradient, is_monotone,
-                                 minimize, oscillation, rasterize_condenser)
+import finslercap.capacity as capacity
+from finslercap.capacity import (CondenserSpec, EnergyFunctional, SolverConfig,
+                                 cap_compact, energy, energy_gradient,
+                                 is_monotone, minimize, oscillation,
+                                 rasterize_condenser)
 from finslercap.errors import ShapeError
 from finslercap.exprs import const, sinusoid
 from finslercap.metrics import (conformal_wrap, euclidean,
@@ -176,6 +178,85 @@ def test_energy_history_decreases():
     res = minimize(cond, CONF, g, cfg=SolverConfig(tol=1e-6))
     hist = np.array(res.energy_history)
     assert np.all(np.diff(hist) <= 1e-12)
+
+
+@pytest.mark.parametrize("m", [EUCLID, RANDERS], ids=["euclid", "randers"])
+def test_p2_solve_matches_dense_discrete_minimum(m):
+    # the free-node matrix, assembled column by column from the operator
+    # the solver applies, gives the exact discrete minimizer
+    g = grid(n=20)
+    cond = CondenserSpec(disk_complement(0.0, 0.0, 1.6), disk(0.0, 0.0, 0.6))
+    m0, m1 = rasterize_condenser(cond, g)
+    pinned = m0 | m1
+    func = EnergyFunctional(m, g, power=2.0, pinned=pinned)
+    free = np.flatnonzero(~pinned)
+    cols = []
+    for k in free:
+        e = np.zeros(g.base_shape)
+        e.flat[k] = 1.0
+        cols.append(0.5 * func.gradient(e).ravel()[free])
+    A = np.array(cols).T
+    assert np.allclose(A, A.T, rtol=0.0, atol=1e-12 * np.abs(A).max())
+    u = np.where(m1, 1.0, 0.0)
+    b = -0.5 * func.gradient(u).ravel()[free]
+    u.flat[free] = np.linalg.solve(A, b)
+    exact = func.value(u)
+    res = minimize(cond, m, g, cfg=SolverConfig(tol=1e-10))
+    assert res.converged
+    assert res.value == pytest.approx(exact, rel=1e-9)
+    assert np.max(np.abs(res.minimizer.values - u)) < 1e-8
+
+
+def test_p2_range_fallback_returns_an_admissible_minimizer(monkeypatch):
+    g = grid(n=24)
+    cond = CondenserSpec(disk_complement(0.0, 0.0, 1.5), disk(0.0, 0.0, 0.6))
+    cfg = SolverConfig(tol=1e-6)
+    plain = minimize(cond, CONF, g, cfg=cfg)
+    cg = capacity._conjugate_gradient
+
+    def overshoot(func, u, pinned, cfg):
+        u, history, it, res = cg(func, u, pinned, cfg)
+        u = np.where(pinned, u, 1.5 * u - 0.25)  # leaves [0, 1] both ways
+        return u, history, it, res
+
+    calls = []
+    gradient = EnergyFunctional.gradient
+
+    def counting(self, u):
+        calls.append(1)
+        return gradient(self, u)
+
+    monkeypatch.setattr(capacity, "_conjugate_gradient", overshoot)
+    monkeypatch.setattr(EnergyFunctional, "gradient", counting)
+    res = minimize(cond, CONF, g, cfg=cfg)
+    m0, m1 = rasterize_condenser(cond, g)
+    u = res.minimizer.values
+    assert res.converged and res.final_gradient_norm < cfg.tol
+    assert np.all(u[m0] == 0.0) and np.all(u[m1] == 1.0)
+    assert np.all((u >= 0.0) & (u <= 1.0))
+    assert len(calls) == res.iterations + 1
+    assert res.value == pytest.approx(plain.value, rel=1e-6)
+
+
+@pytest.mark.filterwarnings("error")
+def test_power_below_two_converges_without_nan():
+    # q ** (p/2 - 1) is singular where the gradient vanishes
+    g = SphereBundleGrid(-2, 2, -2, 2, nx=32, ny=32, ntheta=8)
+    r, R, p = 0.7, 0.7 * math.e, 1.5
+    cond = CondenserSpec(disk_complement(0.0, 0.0, R), disk(0.0, 0.0, r))
+    res = minimize(cond, EUCLID, g, cfg=SolverConfig(tol=1e-6), power=p)
+    assert res.converged and math.isfinite(res.value)
+
+    def closed(r, R):
+        a = (p - 2.0) / (p - 1.0)
+        return 4 * math.pi ** 2 * abs(a) ** (p - 1) * abs(R ** a - r ** a) ** (1 - p)
+
+    # first order: both plate circles may sit up to half a cell off
+    d = 0.5 * 4.0 / 32
+    exact = closed(r, R)
+    bound = max(abs(closed(r + d, R - d) / exact - 1),
+                abs(closed(r - d, R + d) / exact - 1))
+    assert abs(res.value / exact - 1) <= bound
 
 
 def test_overlapping_plates_have_infinite_capacity():

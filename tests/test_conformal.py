@@ -330,6 +330,31 @@ def test_mu_catalog_monotone_under_enlargement():
     assert big.continuum is not None
 
 
+def test_catalog_solves_each_rasterized_problem_once(monkeypatch):
+    # the default mu catalog draws the straight chord once per control
+    # count; the three copies rasterize alike and need one solve
+    import finslercap.conformal as conformal
+    g = grid(n=24)
+    cfg = SolverConfig(tol=1e-6)
+    q = InvariantQuery(points=((-0.6, -0.3), (0.6, 0.3)))
+    calls = []
+    solve = conformal.minimize
+
+    def counting(cond, *args, **kwargs):
+        calls.append(cond)
+        return solve(cond, *args, **kwargs)
+
+    monkeypatch.setattr(conformal, "minimize", counting)
+    res = invariant_mu(q, CONF, g, cfg=cfg)
+    assert len(res.candidate_values) == 15
+    assert len(calls) == 13
+    # every candidate, duplicates included, gets its own solve's value
+    direct = [solve(c, CONF, g, cfg=cfg).value
+              for c in conformal.mu_catalog(q, g)]
+    assert res.candidate_values == tuple(direct)
+    assert res.winner == direct.index(min(direct))
+
+
 def test_nu_returns_a_finite_catalog_minimum():
     g = grid(n=20)
     q = InvariantQuery(points=((-0.6, -0.3), (0.5, 0.4), (1.2, -1.1)),

@@ -11,7 +11,7 @@ invariants, with numerical checks of the invariance identities.
 from .bundle import (BundleField, ScalarField, SphereBundleGrid,
                      d_omega_chart, d_omega_matrix, gradient_norm_general,
                      gradient_norm_lift, hilbert_form, integrate,
-                     node_tensors, sasaki_blocks, sasaki_chart_metric,
+                     node_tensors, sasaki_chart_metric,
                      vertical_lift, volume_density)
 from .capacity import (CapacityResult, CondenserSpec, SolverConfig,
                        cap_compact, energy, energy_gradient, is_monotone,

@@ -15,6 +15,16 @@ base, normalized so the flat metric has density one.  The density at a node
 is extracted numerically as the dx1 wedge dx2 wedge dtheta coefficient of
 that product; no closed-form density expression is hard-coded.
 
+The connection does not enter the density.  omega = l_i dx^i and the
+angular-metric rows A_ij dx^i of d omega have no dtheta component, so in
+the wedge of each such pair with a vertical coframe row delta y^j / F =
+(N^j_k dx^k + dy^j) / F only the dtheta entry of that row can supply the
+missing dtheta; the dx entries, which carry N, multiply a 2-form in
+dx1, dx2 by another dx and vanish.  The density is therefore wedged
+numerically with those entries set to 0, and a grid that only needs
+g^{-1} and the density never evaluates N or the third-order jets behind
+it.
+
 Base-field derivatives use central differences inside and one-sided
 second-order stencils on the boundary; fiber derivatives use periodic
 central differences.
@@ -22,7 +32,7 @@ central differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -286,17 +296,25 @@ def _det3(r0, r1, r2):
             + r0[..., 2] * (r1[..., 0] * r2[..., 1] - r1[..., 1] * r2[..., 0]))
 
 
-def _vertical_coframe(tp: TensorPoint):
-    """Chart components of delta y^j / F, one row per j; surface base only."""
+def _fiber_coframe(tp: TensorPoint):
+    """Rows of delta y^j / F with the connection (dx) entries left at 0.
+
+    On the unit section dy^j = (dy^j/dtheta) dtheta, so only the dtheta
+    column is filled.  Surface base only.
+    """
     if tp.dim != 2:
         raise FinslerError("chart expansion of the vertical coframe needs a "
                            "2-dimensional base")
-    batch = tp.F.shape
-    rows = np.empty(batch + (2, 3))
-    rows[..., :, 0] = tp.nonlin_scaled[..., :, 0]
-    rows[..., :, 1] = tp.nonlin_scaled[..., :, 1]
+    rows = np.zeros(tp.F.shape + (2, 3))
     rows[..., 0, 2] = -tp.y[..., 1] / tp.F
     rows[..., 1, 2] = tp.y[..., 0] / tp.F
+    return rows
+
+
+def _vertical_coframe(tp: TensorPoint):
+    """Chart components of delta y^j / F, one row per j; surface base only."""
+    rows = _fiber_coframe(tp)
+    rows[..., :, :2] = tp.nonlin_scaled
     return rows
 
 
@@ -305,12 +323,14 @@ def volume_density(tp: TensorPoint):
 
     Assembled numerically by wedging the chart components of omega, the
     angular-metric rows of d omega, and the vertical coframe, with the
-    overall orientation chosen so the flat metric gives density one.
+    overall orientation chosen so the flat metric gives density one.  The
+    coframe's connection entries are left at 0: they drop out exactly
+    (see the module docstring), so the connection is never evaluated.
     """
     if tp.dim != 2:
         raise FinslerError("volume density is implemented for surface bases")
     A = d_omega_matrix(tp)
-    vert = _vertical_coframe(tp)
+    vert = _fiber_coframe(tp)
     batch = tp.F.shape
     omega = np.zeros(batch + (3,))
     omega[..., :2] = tp.l_down
@@ -325,11 +345,6 @@ def volume_density(tp: TensorPoint):
         raise FinslerError("volume density is not positive; metric data is "
                            "inconsistent at some node")
     return rho
-
-
-def sasaki_blocks(tp: TensorPoint):
-    """Horizontal and vertical blocks of the bundle metric in the adapted frame."""
-    return tp.g, tp.g
 
 
 def sasaki_chart_metric(tp: TensorPoint):
@@ -348,43 +363,44 @@ def sasaki_chart_metric(tp: TensorPoint):
 
 @dataclass
 class NodeTensors:
-    """Metric data evaluated at every bundle node."""
+    """What the energy and the quadrature read at every bundle node.
+
+    F, g^{-1} and the volume density: 48 bytes per node.  None of them
+    needs the connection, so a miss costs only second-order jets.
+    """
 
     F: np.ndarray
-    l_down: np.ndarray
-    g: np.ndarray
     g_inv: np.ndarray
-    nonlin_scaled: np.ndarray
     rho: np.ndarray
-    tangents: np.ndarray = field(repr=False)  # d y(theta) / d theta
+
+
+# node_tensors evaluates this many nodes at a time (whole x1 rows, at least
+# one), so the jets' temporaries stay a few MB and cache-resident however
+# large the grid is; only the three output arrays scale with it
+_NODES_PER_BLOCK = 1 << 15
+
+
+def _grid_tensor_point(m, grid, rows=slice(None)):
+    """TensorPoint over the bundle nodes of the x1 rows ``rows``."""
+    c, s = grid.fiber_directions()
+    X1 = grid.x1[rows, None, None]
+    X2 = grid.x2[None, :, None]
+    return tensor_point(m, (X1, X2), (c[None, None, :], s[None, None, :]))
 
 
 @lru_cache(maxsize=6)
 def node_tensors(m, grid):
-    """Evaluate and cache pointwise tensors over a whole grid."""
-    c, s = grid.fiber_directions()
-    X1 = grid.x1[:, None, None]
-    X2 = grid.x2[None, :, None]
-    Y1 = np.broadcast_to(c[None, None, :], (1, 1, grid.ntheta))
-    Y2 = np.broadcast_to(s[None, None, :], (1, 1, grid.ntheta))
-    tp = tensor_point(m, (X1, X2), (Y1, Y2))
-    rho = volume_density(tp)
-    shape = grid.shape
-    tang = np.empty(shape + (2,))
-    tang[..., 0] = -s[None, None, :]
-    tang[..., 1] = c[None, None, :]
-    bt = lambda a: np.ascontiguousarray(np.broadcast_to(a, shape + a.shape[3:]))
-    return NodeTensors(F=bt(tp.F), l_down=bt(tp.l_down), g=bt(tp.g),
-                       g_inv=bt(tp.g_inv), nonlin_scaled=bt(tp.nonlin_scaled),
-                       rho=bt(rho), tangents=tang)
-
-
-def grid_tensor_point(m, grid):
-    """TensorPoint over all bundle nodes (uncached; prefer node_tensors)."""
-    c, s = grid.fiber_directions()
-    X1 = grid.x1[:, None, None]
-    X2 = grid.x2[None, :, None]
-    return tensor_point(m, (X1, X2), (c[None, None, :], s[None, None, :]))
+    """Evaluate and cache F, g^{-1} and rho over a whole grid."""
+    nd = NodeTensors(F=np.empty(grid.shape), g_inv=np.empty(grid.shape + (2, 2)),
+                     rho=np.empty(grid.shape))
+    step = max(1, _NODES_PER_BLOCK // (grid.ny * grid.ntheta))
+    for lo in range(0, grid.nx, step):
+        rows = slice(lo, lo + step)
+        tp = _grid_tensor_point(m, grid, rows)
+        nd.F[rows] = tp.F
+        nd.g_inv[rows] = tp.g_inv
+        nd.rho[rows] = volume_density(tp)
+    return nd
 
 
 # -- gradient norms and integration --------------------------------------------
@@ -419,17 +435,18 @@ def gradient_norm_general(f, m, grid):
     vals = _values(f)
     if vals.shape != grid.shape:
         raise ShapeError("bundle field shape differs from grid shape")
-    nd = node_tensors(m, grid)
+    tp = _grid_tensor_point(m, grid)
     ft = fiber_partial(vals, grid)
     fx1 = d_axis(vals, grid.dx1, 0)
     fx2 = d_axis(vals, grid.dx2, 1)
-    # df/dy^j at the unit section
-    dyf = ft[..., None] * nd.tangents
-    N = nd.nonlin_scaled * nd.F[..., None, None]
-    dxf = np.stack((fx1, fx2), axis=-1) - np.einsum("...ji,...j->...i", N, dyf)
-    gi = nd.g_inv
+    # df/dy^j at the unit section, along the tangent dy/dtheta = (-y2, y1)
+    tangents = np.stack((-tp.y[..., 1], tp.y[..., 0]), axis=-1)
+    dyf = ft[..., None] * tangents
+    dxf = np.stack((fx1, fx2), axis=-1) - np.einsum("...ji,...j->...i",
+                                                    tp.nonlin, dyf)
+    gi = tp.g_inv
     horiz = np.einsum("...ij,...i,...j->...", gi, dxf, dxf)
-    vert = nd.F ** 2 * np.einsum("...ij,...i,...j->...", gi, dyf, dyf)
+    vert = tp.F ** 2 * np.einsum("...ij,...i,...j->...", gi, dyf, dyf)
     return BundleField(np.sqrt(horiz + vert))
 
 

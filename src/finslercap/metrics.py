@@ -27,7 +27,8 @@ with C^i_jk = g^{is} C_sjk.  The scaled connection N^i_j / F is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -245,70 +246,19 @@ def eval_F(m, x, y):
     return np.asarray(out, dtype=float)
 
 
-def _metric_from(fsq_fn, z, n, batch):
-    g = np.empty(batch + (n, n))
-    for i in range(n):
-        for j in range(i, n):
-            v = diff(diff(fsq_fn, n + i), n + j)(z)
-            g[..., i, j] = np.asarray(v) * 0.5
-            g[..., j, i] = g[..., i, j]
-    return g
-
-
 def fundamental_tensor(m, x, y):
     """g_ij(x, y) = half Hessian of F^2 in y; raises if not positive definite."""
-    xc, yc = _prep(m, x, y)
-    z = xc + yc
-    batch = _batch_shape(z)
-    g = _metric_from(lambda w: _fsq(m, w), z, m.dim, batch)
-    _assert_spd(g, "fundamental tensor g(x, y)")
-    return g
+    return tensor_point(m, x, y).g
 
 
 def cartan_tensor(m, x, y):
     """Totally symmetric C_ijk = quarter third y-derivative of F^2."""
-    xc, yc = _prep(m, x, y)
-    z = xc + yc
-    n = m.dim
-    batch = _batch_shape(z)
-    fsq_fn = lambda w: _fsq(m, w)
-    C = np.empty(batch + (n, n, n))
-    for i in range(n):
-        for j in range(i, n):
-            dij = diff(diff(fsq_fn, n + i), n + j)
-            for k in range(j, n):
-                v = np.asarray(diff(dij, n + k)(z)) * 0.25
-                for p, q, r in {(i, j, k), (i, k, j), (j, i, k),
-                                (j, k, i), (k, i, j), (k, j, i)}:
-                    C[..., p, q, r] = v
-    return C
-
-
-def _dg_dx(m, z, n, batch):
-    """D[..., k, i, j] = d g_ij / d x^k, exact."""
-    fsq_fn = lambda w: _fsq(m, w)
-    D = np.empty(batch + (n, n, n))
-    for i in range(n):
-        for j in range(i, n):
-            dij = diff(diff(fsq_fn, n + i), n + j)
-            for k in range(n):
-                v = np.asarray(diff(dij, k)(z)) * 0.5
-                D[..., k, i, j] = v
-                D[..., k, j, i] = v
-    return D
+    return tensor_point(m, x, y).cartan
 
 
 def formal_christoffel(m, x, y):
     """gamma^i_jk of the fundamental tensor; symmetric in (j, k)."""
-    xc, yc = _prep(m, x, y)
-    z = xc + yc
-    n = m.dim
-    batch = _batch_shape(z)
-    g = _metric_from(lambda w: _fsq(m, w), z, n, batch)
-    _assert_spd(g, "fundamental tensor g(x, y)")
-    g_inv = np.linalg.inv(g)
-    D = _dg_dx(m, z, n, batch)
-    return _christoffel_from(g_inv, D)
+    return tensor_point(m, x, y).gamma
 
 
 def _christoffel_from(g_inv, D):
@@ -319,12 +269,17 @@ def _christoffel_from(g_inv, D):
     return 0.5 * np.einsum("...is,...sjk->...ijk", g_inv, A)
 
 
-def _nonlinear_from(g_inv, C, gamma, yv, F):
-    Cup = np.einsum("...is,...sjk->...ijk", g_inv, C)
-    gyy = np.einsum("...krs,...r,...s->...k", gamma, yv, yv)
-    N = (np.einsum("...ijk,...k->...ij", gamma, yv)
-         - np.einsum("...ijk,...k->...ij", Cup, gyy))
-    return N, N / F[..., None, None]
+def _inverse(g):
+    """Batched inverse; adjugate over determinant for 2x2 blocks."""
+    if g.shape[-1] != 2:
+        return np.linalg.inv(g)
+    det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
+    inv = np.empty_like(g)
+    inv[..., 0, 0] = g[..., 1, 1] / det
+    inv[..., 0, 1] = -g[..., 0, 1] / det
+    inv[..., 1, 0] = -g[..., 1, 0] / det
+    inv[..., 1, 1] = g[..., 0, 0] / det
+    return inv
 
 
 def nonlinear_connection(m, x, y):
@@ -333,9 +288,27 @@ def nonlinear_connection(m, x, y):
     return tp.nonlin, tp.nonlin_scaled
 
 
+def _y_partials(m, xc, order):
+    """Function of the y components giving the y-partial of F^2 that
+    differentiates in turn along the fiber indices in ``order``.
+
+    Only the fiber variables carry duals; the base point stays plain, so
+    the coefficient fields of x are evaluated on plain arrays.
+    """
+    fn = lambda w: _fsq(m, xc + list(w))
+    for i in order:
+        fn = diff(fn, i)
+    return fn
+
+
 @dataclass
 class TensorPoint:
-    """All pointwise tensors of a metric at (x, y), computed in one pass.
+    """Pointwise tensors of a metric at (x, y).
+
+    F, l, g and g^{-1} come from second-order y-jets of F^2 and are
+    evaluated on construction.  The Cartan tensor, dg/dx, gamma and N
+    need third-order jets; each is computed on first access and then
+    kept, so a caller that never reads the connection never pays for it.
 
     Batch axes lead, index axes trail; ``x`` and ``y`` are stored with the
     coordinate axis last.
@@ -348,47 +321,83 @@ class TensorPoint:
     l_down: np.ndarray
     g: np.ndarray
     g_inv: np.ndarray
-    cartan: np.ndarray
-    gamma: np.ndarray
-    nonlin: np.ndarray
-    nonlin_scaled: np.ndarray
+    metric: MetricSpec = field(repr=False)
 
     @property
     def dim(self):
         return self.g.shape[-1]
 
+    def _xy_lists(self):
+        """The stored x and y as component lists, for re-evaluating jets."""
+        n = self.dim
+        return ([self.x[..., i] for i in range(n)],
+                [self.y[..., i] for i in range(n)])
+
+    @cached_property
+    def cartan(self):
+        """C_ijk = 1/2 dg_ij/dy^k, totally symmetric."""
+        n = self.dim
+        xc, yc = self._xy_lists()
+        C = np.empty(self.F.shape + (n, n, n))
+        for i in range(n):
+            for j in range(i, n):
+                for k in range(j, n):
+                    d3 = _y_partials(self.metric, xc, (i, j, k))
+                    w = np.asarray(d3(yc)) * 0.25
+                    for p, q, r in {(i, j, k), (i, k, j), (j, i, k),
+                                    (j, k, i), (k, i, j), (k, j, i)}:
+                        C[..., p, q, r] = w
+        return C
+
+    @cached_property
+    def dg_dx(self):
+        """D[..., k, i, j] = d g_ij / d x^k, exact."""
+        n = self.dim
+        xc, yc = self._xy_lists()
+        fsq_fn = lambda w: _fsq(self.metric, w)
+        D = np.empty(self.F.shape + (n, n, n))
+        for i in range(n):
+            for j in range(i, n):
+                dij = diff(diff(fsq_fn, n + i), n + j)
+                for k in range(n):
+                    w = np.asarray(diff(dij, k)(xc + yc)) * 0.5
+                    D[..., k, i, j] = w
+                    D[..., k, j, i] = w
+        return D
+
+    @cached_property
+    def gamma(self):
+        return _christoffel_from(self.g_inv, self.dg_dx)
+
+    @cached_property
+    def nonlin(self):
+        Cup = np.einsum("...is,...sjk->...ijk", self.g_inv, self.cartan)
+        gyy = np.einsum("...krs,...r,...s->...k", self.gamma, self.y, self.y)
+        return (np.einsum("...ijk,...k->...ij", self.gamma, self.y)
+                - np.einsum("...ijk,...k->...ij", Cup, gyy))
+
+    @cached_property
+    def nonlin_scaled(self):
+        return self.nonlin / self.F[..., None, None]
+
 
 def tensor_point(m, x, y):
-    """Evaluate F, l, g, g^{-1}, C, gamma, and N at (x, y) sharing work."""
+    """Evaluate F, l, g and g^{-1} at (x, y); C, gamma and N on demand."""
     xc, yc = _prep(m, x, y)
     z = xc + yc
     n = m.dim
     batch = _batch_shape(z)
-    fsq_fn = lambda w: _fsq(m, w)
 
     F = np.broadcast_to(np.asarray(_fval(m, z), dtype=float), batch).copy()
 
     g = np.empty(batch + (n, n))
-    C = np.empty(batch + (n, n, n))
-    D = np.empty(batch + (n, n, n))
     for i in range(n):
         for j in range(i, n):
-            dij = diff(diff(fsq_fn, n + i), n + j)
-            v = np.asarray(dij(z)) * 0.5
+            v = np.asarray(_y_partials(m, xc, (i, j))(yc)) * 0.5
             g[..., i, j] = v
             g[..., j, i] = v
-            for k in range(j, n):
-                w = np.asarray(diff(dij, n + k)(z)) * 0.25
-                for p, q, r in {(i, j, k), (i, k, j), (j, i, k),
-                                (j, k, i), (k, i, j), (k, j, i)}:
-                    C[..., p, q, r] = w
-            for k in range(n):
-                w = np.asarray(diff(dij, k)(z)) * 0.5
-                D[..., k, i, j] = w
-                D[..., k, j, i] = w
 
     _assert_spd(g, "fundamental tensor g(x, y)")
-    g_inv = np.linalg.inv(g)
 
     yv = np.empty(batch + (n,))
     xv = np.empty(batch + (n,))
@@ -399,9 +408,5 @@ def tensor_point(m, x, y):
     l_up = yv / F[..., None]
     l_down = np.einsum("...ij,...j->...i", g, l_up)
 
-    gamma = _christoffel_from(g_inv, D)
-    N, N_scaled = _nonlinear_from(g_inv, C, gamma, yv, F)
-
     return TensorPoint(x=xv, y=yv, F=F, l_up=l_up, l_down=l_down, g=g,
-                       g_inv=g_inv, cartan=C, gamma=gamma, nonlin=N,
-                       nonlin_scaled=N_scaled)
+                       g_inv=_inverse(g), metric=m)

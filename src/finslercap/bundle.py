@@ -365,11 +365,10 @@ def sasaki_chart_metric(tp: TensorPoint):
 class NodeTensors:
     """What the energy and the quadrature read at every bundle node.
 
-    F, g^{-1} and the volume density: 48 bytes per node.  None of them
-    needs the connection, so a miss costs only second-order jets.
+    g^{-1} and the volume density: 40 bytes per node.  Neither needs the
+    connection, so a miss costs only second-order jets.
     """
 
-    F: np.ndarray
     g_inv: np.ndarray
     rho: np.ndarray
 
@@ -390,14 +389,13 @@ def _grid_tensor_point(m, grid, rows=slice(None)):
 
 @lru_cache(maxsize=6)
 def node_tensors(m, grid):
-    """Evaluate and cache F, g^{-1} and rho over a whole grid."""
-    nd = NodeTensors(F=np.empty(grid.shape), g_inv=np.empty(grid.shape + (2, 2)),
+    """Evaluate and cache g^{-1} and rho over a whole grid."""
+    nd = NodeTensors(g_inv=np.empty(grid.shape + (2, 2)),
                      rho=np.empty(grid.shape))
     step = max(1, _NODES_PER_BLOCK // (grid.ny * grid.ntheta))
     for lo in range(0, grid.nx, step):
         rows = slice(lo, lo + step)
         tp = _grid_tensor_point(m, grid, rows)
-        nd.F[rows] = tp.F
         nd.g_inv[rows] = tp.g_inv
         nd.rho[rows] = volume_density(tp)
     return nd

@@ -7,11 +7,18 @@ are rasterized shapes pinned to 0 (outer plate) and 1 (inner plate).
 
 For p = 2 the energy is a quadratic form, so its minimizer over the free
 nodes solves a symmetric positive-definite linear system; matrix-free
-conjugate gradients (Hestenes & Stiefel 1952) solve it.  The wide central
-stencil has no discrete maximum principle, so a p = 2 solution whose free
-values leave [0, 1] is finished by the solver for every other p: projected
-gradient descent with a backtracking line search, which clamps free values
-to [0, 1].
+conjugate gradients (Hestenes & Stiefel 1952) solve it.  Every other p is
+solved by inexact Newton-CG (Dembo, Eisenstat & Steihaug 1982): the exact
+Hessian's fiber sum folds into one symmetric 2x2 form per base node, so a
+Hessian-vector product costs one p = 2 operator application; the same
+conjugate-gradient loop solves each Newton system to the forcing term
+min(0.5, sqrt(|g|)) |g| (Eisenstat & Walker 1996), and an Armijo
+backtracking line search on the energy takes the step.
+
+The wide central stencil has no discrete maximum principle, so a solution
+whose free values leave [0, 1], or a Newton solve whose line search
+stalls, is finished by projected gradient descent with a backtracking
+line search, which clamps free values to [0, 1].
 
 Overlapping plates are a well-defined degenerate condenser with infinite
 capacity, not an error; plates closer than two cells without overlapping
@@ -36,23 +43,29 @@ from .errors import ShapeError
 from .shapes import Shape, outer_boundary
 
 
+# backtracking line searches: sufficient-decrease factor, step shrink and
+# floor; projected gradient also starts from _STEP0 and grows an accepted
+# step by _GROW, while a Newton step always starts from 1
+_ARMIJO = 1e-4
+_SHRINK = 0.5
+_MIN_STEP = 1e-18
+_STEP0 = 1.0
+_GROW = 1.25
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    """Solver knobs.
+    """Solver settings.
 
-    ``tol`` and ``max_iter`` bound every solve, and ``warm_sweeps`` sets the
-    smoothing of the start field.  The line-search knobs (``step0`` to
-    ``min_step``) act only on projected gradient: p != 2, and the fallback
-    for a p = 2 solution that leaves [0, 1].
+    Every solve stops when the max-norm of the free gradient falls below
+    ``tol`` or after ``max_iter`` iterations: conjugate-gradient steps for
+    p = 2, Newton steps for every other p, plus projected-gradient steps
+    where that fallback runs.  ``warm_sweeps`` sets the smoothing of the
+    start field.
     """
 
     tol: float = 1e-8          # max-norm of the projected free gradient
     max_iter: int = 50000
-    step0: float = 1.0
-    armijo: float = 1e-4
-    shrink: float = 0.5
-    grow: float = 1.25
-    min_step: float = 1e-18
     warm_sweeps: int = 100
 
 
@@ -80,7 +93,8 @@ class EnergyFunctional:
 
     For p = 2 the fiber sum is folded into one base quadratic form per
     node, which keeps solver iterations at base-grid cost.  The general-p
-    path keeps the fiber axis explicit.
+    value and gradient keep the fiber axis explicit; its Hessian folds into
+    one base form per Newton step (``hessian_form``).
     """
 
     def __init__(self, m, grid, power=2.0, region=None, pinned=None):
@@ -115,6 +129,23 @@ class EnergyFunctional:
                     apply_stencil(self.bands[1], u, 1))
         return (d_axis(u, self.grid.dx1, 0), d_axis(u, self.grid.dx2, 1))
 
+    def _partials_adjoint(self, w1, w2):
+        if self.bands is not None:
+            return (apply_stencil_adjoint(self.bands[0], w1, 0)
+                    + apply_stencil_adjoint(self.bands[1], w2, 1))
+        return (d_axis_adjoint(w1, self.grid.dx1, 0)
+                + d_axis_adjoint(w2, self.grid.dx2, 1))
+
+    def apply_form(self, M, v):
+        """D^T M D v for a symmetric 2x2 form M of shape (nx, ny, 2, 2).
+
+        D takes the base partials, so this is the gradient of the quadratic
+        energy sum(dv^T M dv) / 2 at v.
+        """
+        du1, du2 = self._partials(v)
+        return self._partials_adjoint(M[..., 0, 0] * du1 + M[..., 0, 1] * du2,
+                                      M[..., 0, 1] * du1 + M[..., 1, 1] * du2)
+
     def value(self, u):
         du1, du2 = self._partials(u)
         if self.base_form is not None:
@@ -130,32 +161,56 @@ class EnergyFunctional:
         return float(np.sum(q ** (self.power / 2.0) * self.wgt))
 
     def gradient(self, u):
-        du1, du2 = self._partials(u)
         if self.base_form is not None:
-            M = self.base_form
-            w1 = 2.0 * (M[..., 0, 0] * du1 + M[..., 0, 1] * du2)
-            w2 = 2.0 * (M[..., 0, 1] * du1 + M[..., 1, 1] * du2)
+            return 2.0 * self.apply_form(self.base_form, u)
+        du1, du2 = self._partials(u)
+        gi = self.g_inv
+        a = du1[:, :, None]
+        b = du2[:, :, None]
+        q = (gi[..., 0, 0] * a * a + 2.0 * gi[..., 0, 1] * a * b
+             + gi[..., 1, 1] * b * b)
+        if self.power < 2.0:
+            # q ** (p/2 - 1) blows up at q = 0, where the product with
+            # the vanishing gradient has the limit 0 for p > 1
+            fac = np.zeros_like(q)
+            np.power(q, self.power / 2.0 - 1.0, out=fac, where=q > 0.0)
         else:
-            gi = self.g_inv
-            a = du1[:, :, None]
-            b = du2[:, :, None]
-            q = (gi[..., 0, 0] * a * a + 2.0 * gi[..., 0, 1] * a * b
-                 + gi[..., 1, 1] * b * b)
-            if self.power < 2.0:
-                # q ** (p/2 - 1) blows up at q = 0, where the product with
-                # the vanishing gradient has the limit 0 for p > 1
-                fac = np.zeros_like(q)
-                np.power(q, self.power / 2.0 - 1.0, out=fac, where=q > 0.0)
-            else:
-                fac = q ** (self.power / 2.0 - 1.0)
-            fac = self.power * fac * self.wgt
-            w1 = np.sum(fac * (gi[..., 0, 0] * a + gi[..., 0, 1] * b), axis=2)
-            w2 = np.sum(fac * (gi[..., 0, 1] * a + gi[..., 1, 1] * b), axis=2)
-        if self.bands is not None:
-            return (apply_stencil_adjoint(self.bands[0], w1, 0)
-                    + apply_stencil_adjoint(self.bands[1], w2, 1))
-        return (d_axis_adjoint(w1, self.grid.dx1, 0)
-                + d_axis_adjoint(w2, self.grid.dx2, 1))
+            fac = q ** (self.power / 2.0 - 1.0)
+        fac = self.power * fac * self.wgt
+        w1 = np.sum(fac * (gi[..., 0, 0] * a + gi[..., 0, 1] * b), axis=2)
+        w2 = np.sum(fac * (gi[..., 0, 1] * a + gi[..., 1, 1] * b), axis=2)
+        return self._partials_adjoint(w1, w2)
+
+    def hessian_form(self, u):
+        """Fiber-folded Hessian of a p != 2 energy at u, shape (nx, ny, 2, 2).
+
+        The Hessian is D^T H D with, per base node,
+        H = sum over the fiber of p w q^(p/2-1) G + p (p-2) w q^(p/2-2)
+        (G du)(G du)^T, where G = g^{-1} and q = du^T G du.  Terms with
+        q = 0 are set to 0: their limit for p > 2, and a finite stand-in
+        for the singular p < 2 curvature there.  Apply it with
+        ``apply_form``.
+        """
+        du1, du2 = self._partials(u)
+        gi = self.g_inv
+        a = du1[:, :, None]
+        b = du2[:, :, None]
+        v1 = gi[..., 0, 0] * a + gi[..., 0, 1] * b
+        v2 = gi[..., 0, 1] * a + gi[..., 1, 1] * b
+        q = a * v1 + b * v2
+        p = self.power
+        f1 = np.zeros_like(q)
+        f2 = np.zeros_like(q)
+        np.power(q, p / 2.0 - 1.0, out=f1, where=q > 0.0)
+        np.power(q, p / 2.0 - 2.0, out=f2, where=q > 0.0)
+        f1 *= p * self.wgt
+        f2 *= p * (p - 2.0) * self.wgt
+        H = np.empty(self.grid.base_shape + (2, 2))
+        H[..., 0, 0] = np.sum(f1 * gi[..., 0, 0] + f2 * v1 * v1, axis=2)
+        H[..., 0, 1] = np.sum(f1 * gi[..., 0, 1] + f2 * v1 * v2, axis=2)
+        H[..., 1, 0] = H[..., 0, 1]
+        H[..., 1, 1] = np.sum(f1 * gi[..., 1, 1] + f2 * v2 * v2, axis=2)
+        return H
 
 
 def energy(u, m, grid, power=None, region=None):
@@ -249,28 +304,62 @@ def minimize(cond, m, grid, cfg=SolverConfig(), power=None, region=None):
     func = EnergyFunctional(m, grid, power=power, region=region, pinned=pinned)
     u = _smooth_start(pinned, pin_vals, 0.5, cfg.warm_sweeps)
 
-    if func.power != 2.0:
-        u, E, history, it, res, converged = _projected_gradient(
-            func, u, pinned, pin_vals, cfg, cfg.max_iter)
-    else:
+    if func.power == 2.0:
         u, history, it, res = _conjugate_gradient(func, u, pinned, cfg)
         converged = res < cfg.tol
-        free = u[~pinned]
-        if free.min() < 0.0 or free.max() > 1.0:
-            # finish by projection; counting the restart as one iteration
-            # keeps gradient calls = iterations + 1 on a converged solve
-            u, E, tail, more, res, converged = _projected_gradient(
-                func, np.clip(u, 0.0, 1.0), pinned, pin_vals, cfg,
-                max(cfg.max_iter - it, 0))
-            history += tail
-            it += 1 + more
-        else:
-            E = func.value(u)
+        E = None
+    else:
+        u, E, history, it, res, converged = _newton(func, u, pinned, cfg)
+    free = u[~pinned]
+    finish = free.min() < 0.0 or free.max() > 1.0
+    if func.power != 2.0:
+        # a stalled line search hands over too; a solve stopped by max_iter
+        # has no budget left and is returned as it is
+        finish = it < cfg.max_iter and (finish or not converged)
+    if finish:
+        # finish by projection; counting the restart as one iteration
+        # keeps gradient calls = iterations + 1 on a converged solve
+        u, E, tail, more, res, converged = _projected_gradient(
+            func, np.clip(u, 0.0, 1.0), pinned, pin_vals, cfg,
+            max(cfg.max_iter - it, 0))
+        history += tail
+        it += 1 + more
+    elif E is None:
+        E = func.value(u)
 
     return CapacityResult(value=E, minimizer=ScalarField(u, pinned),
                           iterations=it, final_gradient_norm=res,
                           converged=converged, grid=grid,
                           energy_history=tuple(history))
+
+
+def _cg(apply, x, r, threshold, max_iter):
+    """Conjugate gradients (Hestenes-Stiefel) for A x = b, started at x.
+
+    ``apply(d)`` returns A d, zero on pinned nodes, and r = b - A x is
+    zero there too, so the iterates move only free nodes.  Stops when
+    max|r| falls below ``threshold``, after ``max_iter`` steps, or at a
+    direction without positive curvature (rounding, or a degenerate
+    Hessian where the p != 2 energy is flat).  Returns (x, r, drops),
+    where drops[i] = alpha_i r_i.r_i is twice the decrease of
+    x.A x / 2 - b.x at step i.
+    """
+    rr = float(np.vdot(r, r))
+    d = r.copy()
+    drops = []
+    while float(np.max(np.abs(r))) >= threshold and len(drops) < max_iter:
+        Ad = apply(d)
+        dAd = float(np.vdot(d, Ad))
+        if not dAd > 0.0:
+            break
+        alpha = rr / dAd
+        x = x + alpha * d
+        r = r - alpha * Ad
+        drops.append(alpha * rr)
+        rr_new = float(np.vdot(r, r))
+        d = r + (rr_new / rr) * d
+        rr = rr_new
+    return x, r, drops
 
 
 def _conjugate_gradient(func, u, pinned, cfg):
@@ -291,27 +380,71 @@ def _conjugate_gradient(func, u, pinned, cfg):
     history = [E]
     r = -0.5 * g
     r[pinned] = 0.0
-    rr = float(np.vdot(r, r))
-    res = 2.0 * float(np.max(np.abs(r)))
-    d = r.copy()
-    it = 0
-    while res >= cfg.tol and it < cfg.max_iter:
+
+    def apply(d):
         Ad = 0.5 * func.gradient(d)
         Ad[pinned] = 0.0
-        dAd = float(np.vdot(d, Ad))
-        if not dAd > 0.0:
-            break  # lost positive curvature to rounding
-        alpha = rr / dAd
-        u = u + alpha * d
-        r -= alpha * Ad
-        E -= alpha * rr
+        return Ad
+
+    u, r, drops = _cg(apply, u, r, 0.5 * cfg.tol, cfg.max_iter)
+    for drop in drops:
+        E -= drop
+        history.append(E)
+    return u, history, len(drops), 2.0 * float(np.max(np.abs(r)))
+
+
+def _newton(func, u, pinned, cfg):
+    """Minimize a p != 2 functional over the free nodes by Newton-CG.
+
+    Each step takes the free gradient g, stops when max|g| < ``cfg.tol``,
+    and otherwise solves H s = -g by conjugate gradients to max|r| <
+    min(0.5, sqrt(max|g|)) max|g|, with H the fiber-folded Hessian; if
+    the first CG direction has no positive curvature the step is along
+    -g.  An Armijo backtracking search from the full step sets its length.
+    A converged solve makes one gradient call more than it reports
+    iterations; one stopped by ``cfg.max_iter`` makes as many.  A line
+    search that shrinks below _MIN_STEP stops the solve unconverged with
+    iterations < ``cfg.max_iter``.  Returns (u, E, history, iterations,
+    residual, converged).
+    """
+    E = func.value(u)
+    history = [E]
+    converged = False
+    res = math.inf
+    it = 0
+    while it < cfg.max_iter:
+        g = func.gradient(u)
+        g[pinned] = 0.0
+        res = float(np.max(np.abs(g)))
+        if res < cfg.tol:
+            converged = True
+            break
+        H = func.hessian_form(u)
+
+        def apply(d):
+            Hd = func.apply_form(H, d)
+            Hd[pinned] = 0.0
+            return Hd
+
+        s, _, drops = _cg(apply, np.zeros_like(u), -g,
+                          min(0.5, math.sqrt(res)) * res, g.size)
+        if not drops:
+            s = -g
+        slope = float(np.vdot(g, s))
+        t = 1.0
+        while True:
+            u_t = u + t * s
+            E_t = func.value(u_t)
+            if E_t <= E + _ARMIJO * t * slope:
+                break
+            t *= _SHRINK
+            if t < _MIN_STEP:
+                return u, E, history, it, res, False
+        u = u_t
+        E = E_t
         history.append(E)
         it += 1
-        rr_new = float(np.vdot(r, r))
-        res = 2.0 * float(np.max(np.abs(r)))
-        d = r + (rr_new / rr) * d
-        rr = rr_new
-    return u, history, it, res
+    return u, E, history, it, res, converged
 
 
 def _projected_gradient(func, u, pinned, pin_vals, cfg, max_iter):
@@ -322,7 +455,7 @@ def _projected_gradient(func, u, pinned, pin_vals, cfg, max_iter):
     """
     E = func.value(u)
     history = [E]
-    step = cfg.step0
+    step = _STEP0
     converged = False
     res = math.inf
     it = 0
@@ -335,21 +468,21 @@ def _projected_gradient(func, u, pinned, pin_vals, cfg, max_iter):
             it -= 1
             break
         accepted = False
-        while step >= cfg.min_step:
+        while step >= _MIN_STEP:
             u_t = np.clip(u - step * g, 0.0, 1.0)
             u_t[pinned] = pin_vals[pinned]
             E_t = func.value(u_t)
             d = u_t - u
-            if E_t <= E - (cfg.armijo / step) * float(np.vdot(d, d)):
+            if E_t <= E - (_ARMIJO / step) * float(np.vdot(d, d)):
                 accepted = True
                 break
-            step *= cfg.shrink
+            step *= _SHRINK
         if not accepted:
-            break  # line search stalled below min_step
+            break  # line search stalled below _MIN_STEP
         u = u_t
         E = E_t
         history.append(E)
-        step *= cfg.grow
+        step *= _GROW
     return u, E, history, it, res, converged
 
 

@@ -58,10 +58,6 @@ def build_parser():
         p.add_argument("--override", action="append", default=[],
                        metavar="SECTION.KEY=VALUE",
                        help="config override, repeatable")
-        p.add_argument("--threads", type=int,
-                       default=os.environ.get("FC_THREADS"),
-                       help="solver threads for candidate catalogs "
-                            "(default: FC_THREADS or serial)")
 
     p = sub.add_parser("tensors", parents=[], help="print pointwise tensors")
     common(p)
@@ -82,19 +78,6 @@ def _load(args):
     rc = load_config(args.config, tuple(args.override))
     out_dir = args.out if args.out else rc.out_dir
     return rc, out_dir
-
-
-def _threads(args):
-    if args.threads is None:
-        return None
-    try:
-        n = int(args.threads)
-    except (TypeError, ValueError):
-        raise ConfigError(f"--threads must be an integer, "
-                          f"got {args.threads!r}")
-    if n < 1:
-        raise ConfigError("--threads must be at least 1")
-    return n
 
 
 def _print_matrix(label, mat):
@@ -158,7 +141,6 @@ def cmd_check(args):
     if rc.check is None:
         raise ConfigError("check needs a [check] section")
     setup = rc.check
-    threads = _threads(args)
     reports = []
     for name in setup.which:
         tol = setup.tols[name]
@@ -185,7 +167,7 @@ def cmd_check(args):
             reports.extend(check_invariants_invariance(
                 setup.cmap, rc.invariant.query, rc.grid,
                 which=(rc.invariant.which,), cfg=rc.solver, power=rc.power,
-                tol=tol, threads=threads))
+                tol=tol))
     for rep in reports:
         print(rep)
     if "csv" in rc.formats:
@@ -199,7 +181,7 @@ def cmd_invariant(args):
         raise ConfigError("invariant needs an [invariant] section")
     which, query = rc.invariant.which, rc.invariant.query
     res = _INVARIANTS[which](query, rc.metric, rc.grid, cfg=rc.solver,
-                             power=rc.power, threads=_threads(args))
+                             power=rc.power)
     print(f"{which} = {format_number(res.value)}")
     rows = [("invariant", which), ("value", res.value),
             ("winner", res.winner), ("candidates", len(res.candidate_values)),

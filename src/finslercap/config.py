@@ -9,12 +9,9 @@ library.  Sections:
             base = base kind for conformal; sigma = exponent expression
 [domain]    x1min/x1max/x2min/x2max, nx, ny, ntheta
 [condenser] c0, c1 = shape descriptors (``disk:cx,cy,r`` and friends)
-[solver]    tol, max_iter, step0, armijo, shrink, grow, min_step,
-            warm_sweeps, power; p = 2 is solved by conjugate gradients,
-            every other p by projected gradient, so the line-search
-            knobs step0 .. min_step act only when power != 2 (and on
-            the projected-gradient fallback for a p = 2 solution that
-            leaves [0, 1])
+[solver]    tol, max_iter, warm_sweeps, power; p = 2 is solved by
+            conjugate gradients, every other p by Newton-CG, and tol
+            bounds the max-norm of the free gradient of both
 [check]     which = comma list of check names; map = identity |
             similarity:scale[,angle[,sx,sy]] | power:p; sigma;
             sigma_claim (claimed factor used instead of the witnessed
@@ -283,16 +280,11 @@ def parse_solver(cp):
     cfg = SolverConfig(
         tol=_getfloat(cp, "solver", "tol", defaults.tol),
         max_iter=_getint(cp, "solver", "max_iter", defaults.max_iter),
-        step0=_getfloat(cp, "solver", "step0", defaults.step0),
-        armijo=_getfloat(cp, "solver", "armijo", defaults.armijo),
-        shrink=_getfloat(cp, "solver", "shrink", defaults.shrink),
-        grow=_getfloat(cp, "solver", "grow", defaults.grow),
-        min_step=_getfloat(cp, "solver", "min_step", defaults.min_step),
         warm_sweeps=_getint(cp, "solver", "warm_sweeps",
                             defaults.warm_sweeps),
     )
-    if cfg.tol <= 0 or cfg.step0 <= 0 or cfg.min_step <= 0:
-        raise ConfigError("[solver] tol, step0 and min_step must be positive")
+    if cfg.tol <= 0:
+        raise ConfigError("[solver] tol must be positive")
     if cfg.max_iter < 1:
         raise ConfigError("[solver] max_iter must be at least 1")
     power = _getfloat(cp, "solver", "power", None)
@@ -409,8 +401,7 @@ _SCHEMA = {
     "metric": {"kind", "base", "sigma", "a11", "a12", "a22", "b1", "b2"},
     "domain": {"x1min", "x1max", "x2min", "x2max", "nx", "ny", "ntheta"},
     "condenser": {"c0", "c1"},
-    "solver": {"tol", "max_iter", "step0", "armijo", "shrink", "grow",
-               "min_step", "warm_sweeps", "power"},
+    "solver": {"tol", "max_iter", "warm_sweeps", "power"},
     "check": {"which", "map", "sigma", "sigma_claim", "samples", "seed", "u"}
              | {"tol_" + name for name in CHECK_NAMES},
     "invariant": {"which", "points", "controls", "offsets", "spread",

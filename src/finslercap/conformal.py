@@ -24,7 +24,6 @@ from __future__ import annotations
 import itertools
 import math
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -481,7 +480,7 @@ class InvariantResult:
     continuum: CondenserSpec | None = None
 
 
-def _solve_catalog(pairs, m, grid, cfg, power, threads):
+def _solve_catalog(pairs, m, grid, cfg, power):
     def one(cond):
         try:
             r = minimize(cond, m, grid, cfg=cfg, power=power)
@@ -496,11 +495,7 @@ def _solve_catalog(pairs, m, grid, cfg, power, threads):
     distinct = {}
     for k, c in zip(keys, pairs):
         distinct.setdefault(k, c)
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            solved = dict(zip(distinct, ex.map(one, distinct.values())))
-    else:
-        solved = {k: one(c) for k, c in distinct.items()}
+    solved = {k: one(c) for k, c in distinct.items()}
     outs = [solved[k] for k in keys]
     vals = tuple(v for v, _ in outs)
     best, bi = math.inf, -1
@@ -523,7 +518,7 @@ def mu_catalog(q, grid):
             for C in compact_candidates(pa, pb, grid, q)]
 
 
-def invariant_mu(q, m, grid, cfg=SolverConfig(), power=None, threads=None):
+def invariant_mu(q, m, grid, cfg=SolverConfig(), power=None):
     """Least catalog capacity of a continuum joining the two points.
 
     Candidates are capacities of compact sets against the outer ring, so
@@ -535,7 +530,7 @@ def invariant_mu(q, m, grid, cfg=SolverConfig(), power=None, threads=None):
     if q.points[0] == q.points[1]:
         raise DomainError("mu needs two distinct points")
     _check_inside(q.points, grid)
-    return _solve_catalog(mu_catalog(q, grid), m, grid, cfg, power, threads)
+    return _solve_catalog(mu_catalog(q, grid), m, grid, cfg, power)
 
 
 def lambda_catalog(q, grid):
@@ -547,15 +542,14 @@ def lambda_catalog(q, grid):
             for c1 in boundary_candidates(pb, grid, qb)]
 
 
-def invariant_lambda(q, m, grid, cfg=SolverConfig(), power=None, threads=None):
+def invariant_lambda(q, m, grid, cfg=SolverConfig(), power=None):
     """Least catalog capacity over pairs of boundary-reaching continua."""
     if len(q.points) != 2:
         raise DomainError("lambda takes exactly two points")
     if q.points[0] == q.points[1]:
         raise DomainError("lambda needs two distinct points")
     _check_inside(q.points, grid)
-    return _solve_catalog(lambda_catalog(q, grid), m, grid, cfg, power,
-                          threads)
+    return _solve_catalog(lambda_catalog(q, grid), m, grid, cfg, power)
 
 
 def nu_catalog(q, grid):
@@ -568,7 +562,7 @@ def nu_catalog(q, grid):
     return [CondenserSpec(c0, c1) for c0 in c0s for c1 in c1s]
 
 
-def invariant_nu(q, m, grid, cfg=SolverConfig(), power=None, threads=None):
+def invariant_nu(q, m, grid, cfg=SolverConfig(), power=None):
     """Least catalog capacity separating a joined pair from the boundary
     continuum through the third point."""
     if len(q.points) != 3:
@@ -576,7 +570,7 @@ def invariant_nu(q, m, grid, cfg=SolverConfig(), power=None, threads=None):
     if q.points[0] == q.points[1] == q.points[2]:
         raise DomainError("nu points may not all coincide")
     _check_inside(q.points, grid)
-    return _solve_catalog(nu_catalog(q, grid), m, grid, cfg, power, threads)
+    return _solve_catalog(nu_catalog(q, grid), m, grid, cfg, power)
 
 
 def rho_overlap_rule(points):
@@ -607,7 +601,7 @@ def rho_catalog(q, grid):
     return [CondenserSpec(c0, c1) for c0 in c0s for c1 in c1s]
 
 
-def invariant_rho(q, m, grid, cfg=SolverConfig(), power=None, threads=None):
+def invariant_rho(q, m, grid, cfg=SolverConfig(), power=None):
     """Least catalog capacity between continua joining the two pairs."""
     if len(q.points) != 4:
         raise DomainError("the 4-point function takes exactly four points")
@@ -617,7 +611,7 @@ def invariant_rho(q, m, grid, cfg=SolverConfig(), power=None, threads=None):
     if verdict == "overlap":
         return InvariantResult(math.inf, -1, (), True)
     _check_inside(q.points, grid)
-    return _solve_catalog(rho_catalog(q, grid), m, grid, cfg, power, threads)
+    return _solve_catalog(rho_catalog(q, grid), m, grid, cfg, power)
 
 
 # -- invariance of the point functions across a map -------------------------------
@@ -633,7 +627,7 @@ _ARITY = {"mu": 2, "lambda": 2, "nu": 3, "rho": 4}
 
 
 def check_invariants_invariance(cm, q, grid, which=None, cfg=SolverConfig(),
-                                power=None, tol=5e-2, threads=None):
+                                power=None, tol=5e-2):
     """Each point function on (source, points) against (target, mapped
     points), minimizing over the mapped candidate catalog on the image
     side so both minima run over corresponding families."""
@@ -654,10 +648,10 @@ def check_invariants_invariance(cm, q, grid, which=None, cfg=SolverConfig(),
             continue
         _check_inside(q.points, grid)
         pairs = _CATALOGS[name](q, grid)
-        src = _solve_catalog(pairs, cm.source, grid, cfg, power, threads)
+        src = _solve_catalog(pairs, cm.source, grid, cfg, power)
         tpairs = [CondenserSpec(_map_plate(c.c0, cm), _map_plate(c.c1, cm))
                   for c in pairs]
-        tgt = _solve_catalog(tpairs, cm.target, tgrid, cfg, power, threads)
+        tgt = _solve_catalog(tpairs, cm.target, tgrid, cfg, power)
         if math.isinf(src.value) and math.isinf(tgt.value):
             err = 0.0
         else:

@@ -343,7 +343,7 @@ def test_09_point_invariants_across_maps():
     for cm in maps:
         for q, which in ((qmu, "mu"), (qrho, "rho")):
             reports.extend(check_invariants_invariance(
-                cm, q, g, which=[which], cfg=cfg, tol=5e-2, threads=4))
+                cm, q, g, which=[which], cfg=cfg, tol=5e-2))
     ok = all(r.passed for r in reports)
     worst = max(r.max_rel_err for r in reports)
     _criterion("09 point invariants across maps", 120.0, ok,

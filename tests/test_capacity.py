@@ -135,6 +135,24 @@ def test_energy_gradient_matches_finite_differences():
         assert fd == pytest.approx(exact, rel=1e-5)
 
 
+@pytest.mark.parametrize("p", [3.0, 1.5])
+def test_hessian_form_matches_finite_differences_of_the_gradient(p):
+    g = grid(n=16)
+    cond = CondenserSpec(disk_complement(0.0, 0.0, 1.6), disk(0.0, 0.0, 0.6))
+    m0, m1 = rasterize_condenser(cond, g)
+    pinned = m0 | m1
+    rng = np.random.default_rng(5)
+    for m in (EUCLID, CONF, RANDERS):
+        func = EnergyFunctional(m, g, power=p, pinned=pinned)
+        u = np.where(m1, 1.0, np.where(m0, 0.0,
+                                       rng.uniform(0, 1, g.base_shape)))
+        v = np.where(pinned, 0.0, rng.standard_normal(g.base_shape))
+        exact = func.apply_form(func.hessian_form(u), v)
+        eps = 1e-6
+        fd = (func.gradient(u + eps * v) - func.gradient(u - eps * v)) / (2 * eps)
+        assert np.max(np.abs(fd - exact)) <= 1e-6 * np.max(np.abs(exact))
+
+
 def test_energy_gradient_zero_at_pins():
     g = grid(n=16)
     cond = CondenserSpec(disk_complement(0.0, 0.0, 1.6), disk(0.0, 0.0, 0.6))
@@ -257,6 +275,98 @@ def test_power_below_two_converges_without_nan():
     bound = max(abs(closed(r + d, R - d) / exact - 1),
                 abs(closed(r - d, R + d) / exact - 1))
     assert abs(res.value / exact - 1) <= bound
+
+
+def annulus32():
+    g = SphereBundleGrid(-2, 2, -2, 2, nx=32, ny=32, ntheta=8)
+    r = 0.7
+    return g, CondenserSpec(disk_complement(0.0, 0.0, r * math.e),
+                            disk(0.0, 0.0, r))
+
+
+def count_gradient_calls(monkeypatch):
+    calls = []
+    gradient = EnergyFunctional.gradient
+
+    def counting(self, u):
+        calls.append(1)
+        return gradient(self, u)
+
+    monkeypatch.setattr(EnergyFunctional, "gradient", counting)
+    return calls
+
+
+@pytest.mark.parametrize("p", [3.0, 4.0, 1.5])
+def test_newton_matches_projected_gradient(p):
+    g, cond = annulus32()
+    cfg = SolverConfig(tol=1e-6)
+    res = minimize(cond, EUCLID, g, cfg=cfg, power=p)
+    m0, m1 = rasterize_condenser(cond, g)
+    pinned = m0 | m1
+    pin_vals = np.where(m1, 1.0, 0.0)
+    func = EnergyFunctional(EUCLID, g, power=p, pinned=pinned)
+    start = capacity._smooth_start(pinned, pin_vals, 0.5, cfg.warm_sweeps)
+    _, E, _, _, _, converged = capacity._projected_gradient(
+        func, start, pinned, pin_vals, cfg, cfg.max_iter)
+    assert res.converged and converged
+    assert res.value == pytest.approx(E, rel=1e-10)
+    u = res.minimizer.values
+    assert np.all(u[m0] == 0.0) and np.all(u[m1] == 1.0)
+    assert np.all((u >= 0.0) & (u <= 1.0))
+    # the grid and the plates are symmetric under x <-> y
+    assert np.max(np.abs(u - u.T)) <= cfg.tol
+
+
+def test_newton_gradient_calls_follow_the_iterations(monkeypatch):
+    g, cond = annulus32()
+    calls = count_gradient_calls(monkeypatch)
+    res = minimize(cond, EUCLID, g, cfg=SolverConfig(tol=1e-6), power=3.0)
+    assert res.converged and len(calls) == res.iterations + 1
+    del calls[:]
+    res = minimize(cond, EUCLID, g, cfg=SolverConfig(tol=1e-6, max_iter=3),
+                   power=3.0)
+    assert not res.converged
+    assert res.iterations == 3 and len(calls) == 3
+
+
+def test_newton_range_fallback_returns_an_admissible_minimizer(monkeypatch):
+    g, cond = annulus32()
+    cfg = SolverConfig(tol=1e-6)
+    plain = minimize(cond, EUCLID, g, cfg=cfg, power=3.0)
+    newton = capacity._newton
+
+    def overshoot(func, u, pinned, cfg):
+        u, E, history, it, res, converged = newton(func, u, pinned, cfg)
+        u = np.where(pinned, u, 1.5 * u - 0.25)  # leaves [0, 1] both ways
+        return u, func.value(u), history, it, res, converged
+
+    monkeypatch.setattr(capacity, "_newton", overshoot)
+    calls = count_gradient_calls(monkeypatch)
+    res = minimize(cond, EUCLID, g, cfg=cfg, power=3.0)
+    m0, m1 = rasterize_condenser(cond, g)
+    u = res.minimizer.values
+    assert res.converged and res.final_gradient_norm < cfg.tol
+    assert np.all(u[m0] == 0.0) and np.all(u[m1] == 1.0)
+    assert np.all((u >= 0.0) & (u <= 1.0))
+    assert len(calls) == res.iterations + 1
+    assert res.value == pytest.approx(plain.value, rel=1e-6)
+
+
+def test_newton_line_search_stall_is_finished_by_projection(monkeypatch):
+    # a Hessian scaled by 1e-30 makes every Newton step too long by 1e30,
+    # more than the line search may shrink it
+    g, cond = annulus32()
+    cfg = SolverConfig(tol=1e-6)
+    plain = minimize(cond, EUCLID, g, cfg=cfg, power=3.0)
+    hessian = EnergyFunctional.hessian_form
+    monkeypatch.setattr(EnergyFunctional, "hessian_form",
+                        lambda self, u: 1e-30 * hessian(self, u))
+    calls = count_gradient_calls(monkeypatch)
+    res = minimize(cond, EUCLID, g, cfg=cfg, power=3.0)
+    u = res.minimizer.values[~res.minimizer.pinned]
+    assert res.converged and np.all((u >= 0.0) & (u <= 1.0))
+    assert len(calls) == res.iterations + 1
+    assert res.value == pytest.approx(plain.value, rel=1e-6)
 
 
 def test_overlapping_plates_have_infinite_capacity():

@@ -161,6 +161,12 @@ def test_override_syntax_is_validated():
     "[grid]\nnx = 16\n",  # the section is called [domain]
     "[metric]\nfamily = randers\n",  # the key is called kind
     "[solver]\ntolerance = 1e-6\n",
+    # line-search constants, no longer settable
+    "[solver]\nstep0 = 1.0\n",
+    "[solver]\narmijo = 1e-4\n",
+    "[solver]\nshrink = 0.5\n",
+    "[solver]\ngrow = 1.25\n",
+    "[solver]\nmin_step = 1e-18\n",
 ])
 def test_validation_failures_raise_config_error(tmp_path, snippet):
     path = write_ini(tmp_path, snippet)
@@ -419,19 +425,6 @@ def test_invariant_needs_its_section(tmp_path, capsys):
     path = write_ini(tmp_path, BASE)
     assert main(["invariant", "--config", path]) == 3
     assert "invariant" in capsys.readouterr().err
-
-
-def test_threads_flag_is_validated(tmp_path, capsys):
-    path = write_ini(tmp_path, BASE + """
-[invariant]
-which = mu
-points = -0.8,-0.5; 0.9,0.6
-controls = 0
-""")
-    code = main(["invariant", "--config", path, "--out", run_dir(tmp_path),
-                 "--threads", "0"])
-    assert code == 3
-    assert "threads" in capsys.readouterr().err
 
 
 def test_selftest_runs_clean_and_detects_corruption(tmp_path, capsys):

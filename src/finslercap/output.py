@@ -5,13 +5,24 @@ then rename), numbers are printed with 17 significant digits so reruns
 of an identical configuration produce bit-identical output, and the
 SVG heatmap is a plain grid of rect cells under a linear color ramp —
 no plotting stack involved.
+
+The base-field emitters work an array at a time: the grid coordinates
+are formatted once per axis and every value once, and the heatmap's
+ramp positions and colors are computed for the whole field in numpy
+with the float64 operations of the per-cell definition, so each row or
+rect is one join of precomputed strings.  ``format_number`` stays the
+only definition of a cell's text; the files are byte for byte those of
+formatting every node on its own.
 """
 
+import itertools
 import math
 import os
 import tempfile
 
 import numpy as np
+
+from .errors import ShapeError
 
 
 def format_number(x):
@@ -56,26 +67,22 @@ def write_csv(path, header, rows):
     atomic_write(path, "\n".join(lines) + "\n")
 
 
+def _check_base_shape(grid, values):
+    if values.shape != grid.base_shape:
+        raise ShapeError("field shape differs from grid base shape")
+
+
 def base_field_csv(path, grid, values):
     """Base-grid scalar field as i,j,x1,x2,value rows."""
     values = np.asarray(values)
-    rows = []
-    for i in range(grid.nx):
-        for j in range(grid.ny):
-            rows.append((i, j, grid.x1[i], grid.x2[j], values[i, j]))
-    write_csv(path, ("i", "j", "x1", "x2", "value"), rows)
-
-
-def bundle_field_csv(path, grid, values):
-    """Bundle scalar field as i,j,k,x1,x2,theta,value rows."""
-    values = np.asarray(values)
-    rows = []
-    for i in range(grid.nx):
-        for j in range(grid.ny):
-            for k in range(grid.ntheta):
-                rows.append((i, j, k, grid.x1[i], grid.x2[j],
-                             grid.thetas[k], values[i, j, k]))
-    write_csv(path, ("i", "j", "k", "x1", "x2", "theta", "value"), rows)
+    _check_base_shape(grid, values)
+    xs = [format_number(x) for x in grid.x1.tolist()]
+    ys = [format_number(y) for y in grid.x2.tolist()]
+    cells = map(format_number, values.ravel().tolist())
+    lines = ["i,j,x1,x2,value"]
+    lines += [f"{i},{j},{x},{y},{v}" for ((i, x), (j, y)), v in
+              zip(itertools.product(enumerate(xs), enumerate(ys)), cells)]
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def reports_csv(path, reports):
@@ -91,14 +98,34 @@ def summary_csv(path, pairs):
 
 # -- SVG heatmap ---------------------------------------------------------------
 
-_RAMP = ((13, 8, 135), (156, 23, 158), (237, 121, 83), (240, 249, 33))
+_RAMP = np.array(((13, 8, 135), (156, 23, 158), (237, 121, 83),
+                  (240, 249, 33)), dtype=float)
 
 
-def _color(t):
-    k = min(int(t * (len(_RAMP) - 1)), len(_RAMP) - 2)
-    f = t * (len(_RAMP) - 1) - k
-    a, b = _RAMP[k], _RAMP[k + 1]
-    return tuple(round(a[c] + (b[c] - a[c]) * f) for c in range(3))
+def _fills(values, lo, hi):
+    """rgb() fill of every cell of values, in C order.
+
+    Finite cells sit on the linear ramp at t = (v - lo) / (hi - lo),
+    clipped to [0, 1] (0.5 when hi == lo), between stops k and k + 1 of
+    _RAMP with k = min(int(3 t), 2); each channel is rounded half to even.
+    Non-finite cells are gray.
+    """
+    finite = np.isfinite(values)
+    span = hi - lo
+    if span > 0:
+        # hi - lo overflows when finite lo and hi lie far apart; the ramp
+        # is then taken on halved values, and s = 1 changes no bit elsewhere
+        s = 1.0 if math.isfinite(span) else 0.5
+        t = (np.where(finite, values, lo) * s - lo * s) / (hi * s - lo * s)
+    else:
+        t = np.full(values.shape, 0.5)
+    n = len(_RAMP) - 1
+    t = np.clip(t.ravel(), 0.0, 1.0) * n
+    k = np.minimum(t.astype(int), n - 1)
+    f = (t - k)[:, None]
+    rgb = np.round(_RAMP[k] + (_RAMP[k + 1] - _RAMP[k]) * f).astype(int)
+    return [f"rgb({r},{g},{b})" if ok else "rgb(128,128,128)"
+            for (r, g, b), ok in zip(rgb.tolist(), finite.ravel().tolist())]
 
 
 def svg_heatmap(path, grid, values, title=""):
@@ -108,10 +135,10 @@ def svg_heatmap(path, grid, values, title=""):
     between the finite minimum and maximum.
     """
     values = np.asarray(values, dtype=float)
+    _check_base_shape(grid, values)
     finite = values[np.isfinite(values)]
     lo = float(finite.min()) if finite.size else 0.0
     hi = float(finite.max()) if finite.size else 0.0
-    span = hi - lo
     size = 640
     cw = size / max(grid.nx, grid.ny)
     width, height = grid.nx * cw, grid.ny * cw
@@ -124,19 +151,12 @@ def svg_heatmap(path, grid, values, title=""):
     if title:
         out.append(f'<text x="4" y="16" font-family="monospace" '
                    f'font-size="13">{title} [{lo:.6g}, {hi:.6g}]</text>')
-    for i in range(grid.nx):
-        for j in range(grid.ny):
-            v = values[i, j]
-            if not math.isfinite(v):
-                fill = "rgb(128,128,128)"
-            else:
-                t = (v - lo) / span if span > 0 else 0.5
-                r, g, b = _color(min(max(t, 0.0), 1.0))
-                fill = f"rgb({r},{g},{b})"
-            # x2 increases upward; SVG y runs downward
-            x = i * cw
-            y = pad_top + (grid.ny - 1 - j) * cw
-            out.append(f'<rect x="{x:.2f}" y="{y:.2f}" width="{cw:.2f}" '
-                       f'height="{cw:.2f}" fill="{fill}"/>')
+    xs = [f"{i * cw:.2f}" for i in range(grid.nx)]
+    # x2 increases upward; SVG y runs downward
+    ys = [f"{pad_top + (grid.ny - 1 - j) * cw:.2f}" for j in range(grid.ny)]
+    side = f"{cw:.2f}"
+    out += [f'<rect x="{x}" y="{y}" width="{side}" height="{side}" '
+            f'fill="{fill}"/>' for (x, y), fill in
+            zip(itertools.product(xs, ys), _fills(values, lo, hi))]
     out.append("</svg>")
     atomic_write(path, "\n".join(out) + "\n")

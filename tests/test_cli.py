@@ -14,9 +14,8 @@ from finslercap.config import (DEFAULT_CHECK_TOLS, apply_overrides,
                                read_config_file)
 from finslercap.errors import ConfigError
 from finslercap.exprs import const
-from finslercap.output import (base_field_csv, bundle_field_csv,
-                               format_number, summary_csv, svg_heatmap,
-                               write_csv)
+from finslercap.output import (base_field_csv, format_number, summary_csv,
+                               svg_heatmap, write_csv)
 
 
 def write_ini(tmp_path, text, name="run.ini"):
@@ -266,9 +265,6 @@ def test_csv_emitters_and_atomicity(tmp_path):
     base_field_csv(str(tmp_path / "f.csv"), g, np.zeros((3, 4)))
     lines = (tmp_path / "f.csv").read_text().splitlines()
     assert lines[0] == "i,j,x1,x2,value" and len(lines) == 1 + 12
-    bundle_field_csv(str(tmp_path / "bf.csv"), g, np.zeros((3, 4, 8)))
-    lines = (tmp_path / "bf.csv").read_text().splitlines()
-    assert lines[0] == "i,j,k,x1,x2,theta,value" and len(lines) == 1 + 96
     summary_csv(str(tmp_path / "s.csv"), [("value", 4.0)])
     assert "value,4" in (tmp_path / "s.csv").read_text()
     assert not [f for f in os.listdir(tmp_path) if f.endswith(".tmp")]
@@ -308,21 +304,48 @@ def test_tensors_rejects_malformed_point(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+ANNULUS = """
+[metric]
+kind = conformal
+base = euclidean
+sigma = sin:0.3,0.8,-0.5,1.1
+
+[domain]
+x1min = -2
+x1max = 2
+x2min = -2
+x2max = 2
+nx = 24
+ny = 24
+ntheta = 8
+
+[condenser]
+c0 = disk_complement:0,0,1.7
+c1 = disk:0,0,0.6
+
+[output]
+formats = csv,svg
+"""
+
+
 def test_capacity_command_writes_deterministic_outputs(tmp_path, capsys):
-    path = write_ini(tmp_path, BASE)
-    d1, d2 = run_dir(tmp_path, "o1"), run_dir(tmp_path, "o2")
-    assert main(["capacity", "--config", path, "--out", d1]) == 0
-    out = capsys.readouterr().out
-    assert out.startswith("value: ") and "converged: true" in out
-    for fn in ("capacity_summary.csv", "capacity_minimizer.csv",
-               "capacity_minimizer.svg"):
-        assert os.path.exists(os.path.join(d1, fn))
-    assert main(["capacity", "--config", path, "--out", d2]) == 0
-    for fn in ("capacity_summary.csv", "capacity_minimizer.csv",
-               "capacity_minimizer.svg"):
-        with open(os.path.join(d1, fn), "rb") as fa, \
-                open(os.path.join(d2, fn), "rb") as fb:
-            assert fa.read() == fb.read(), fn
+    # bit-reproducible output: two runs of one config write equal bytes
+    for name, text in (("randers", BASE), ("annulus", ANNULUS)):
+        path = write_ini(tmp_path, text, name=name + ".ini")
+        d1 = run_dir(tmp_path, name + "1")
+        d2 = run_dir(tmp_path, name + "2")
+        assert main(["capacity", "--config", path, "--out", d1]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("value: ") and "converged: true" in out
+        for fn in ("capacity_summary.csv", "capacity_minimizer.csv",
+                   "capacity_minimizer.svg"):
+            assert os.path.exists(os.path.join(d1, fn))
+        assert main(["capacity", "--config", path, "--out", d2]) == 0
+        for fn in ("capacity_summary.csv", "capacity_minimizer.csv",
+                   "capacity_minimizer.svg"):
+            with open(os.path.join(d1, fn), "rb") as fa, \
+                    open(os.path.join(d2, fn), "rb") as fb:
+                assert fa.read() == fb.read(), (name, fn)
 
 
 def test_capacity_respects_format_selection(tmp_path):

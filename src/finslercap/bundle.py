@@ -12,18 +12,23 @@ omega = l_i dx^i.  Its differential satisfies
 
 and the bundle volume element is eta = -omega wedge d omega for a surface
 base, normalized so the flat metric has density one.  The density at a node
-is extracted numerically as the dx1 wedge dx2 wedge dtheta coefficient of
-that product; no closed-form density expression is hard-coded.
+is the dx1 wedge dx2 wedge dtheta coefficient of that product: for each j
+the 3x3 determinant of the chart rows of omega, of the angular-metric row
+A_ij dx^i of d omega and of the vertical coframe row delta y^j / F, summed
+over j.  It is built from g, l, y and F alone, for every metric.
 
 The connection does not enter the density.  omega = l_i dx^i and the
 angular-metric rows A_ij dx^i of d omega have no dtheta component, so in
 the wedge of each such pair with a vertical coframe row delta y^j / F =
 (N^j_k dx^k + dy^j) / F only the dtheta entry of that row can supply the
 missing dtheta; the dx entries, which carry N, multiply a 2-form in
-dx1, dx2 by another dx and vanish.  The density is therefore wedged
-numerically with those entries set to 0, and a grid that only needs
-g^{-1} and the density never evaluates N or the third-order jets behind
-it.
+dx1, dx2 by another dx and vanish.  With those entries and the other
+structural zeros dropped, each determinant expands to
+l_1 A_2j v_j - l_2 A_1j v_j, where v = (-y^2, y^1) / F is the dtheta
+column of the coframe.  Every dropped product is an exact zero for finite
+data, so each positive density comes out bit for bit as the full
+determinant gives it, and a grid that only needs g^{-1} and the density
+never evaluates N or the third-order jets behind it.
 
 Base-field derivatives use central differences inside and one-sided
 second-order stencils on the boundary; fiber derivatives use periodic
@@ -290,57 +295,50 @@ def d_omega_chart(tp: TensorPoint):
     return np.swapaxes(W, -1, -2) - W
 
 
-def _det3(r0, r1, r2):
-    return (r0[..., 0] * (r1[..., 1] * r2[..., 2] - r1[..., 2] * r2[..., 1])
-            - r0[..., 1] * (r1[..., 0] * r2[..., 2] - r1[..., 2] * r2[..., 0])
-            + r0[..., 2] * (r1[..., 0] * r2[..., 1] - r1[..., 1] * r2[..., 0]))
+def _vertical_coframe(tp: TensorPoint):
+    """Chart components of delta y^j / F, one row per j; surface base only.
 
-
-def _fiber_coframe(tp: TensorPoint):
-    """Rows of delta y^j / F with the connection (dx) entries left at 0.
-
-    On the unit section dy^j = (dy^j/dtheta) dtheta, so only the dtheta
-    column is filled.  Surface base only.
+    The dx columns hold N^j_k / F.  On the unit section dy^j =
+    (dy^j/dtheta) dtheta, so the fiber part fills the dtheta column.
     """
     if tp.dim != 2:
         raise FinslerError("chart expansion of the vertical coframe needs a "
                            "2-dimensional base")
-    rows = np.zeros(tp.F.shape + (2, 3))
+    rows = np.empty(tp.F.shape + (2, 3))
+    rows[..., :, :2] = tp.nonlin_scaled
     rows[..., 0, 2] = -tp.y[..., 1] / tp.F
     rows[..., 1, 2] = tp.y[..., 0] / tp.F
     return rows
 
 
-def _vertical_coframe(tp: TensorPoint):
-    """Chart components of delta y^j / F, one row per j; surface base only."""
-    rows = _fiber_coframe(tp)
-    rows[..., :, :2] = tp.nonlin_scaled
-    return rows
+def _wedge_term(tp: TensorPoint, j, v):
+    """l_1 (A_2j v_j) - l_2 (A_1j v_j), one term of the volume density."""
+    g, l = tp.g, tp.l_down
+    a1 = g[..., 0, j] - l[..., 0] * l[..., j]
+    a2 = g[..., 1, j] - l[..., 1] * l[..., j]
+    a2 *= v
+    a2 *= l[..., 0]
+    a1 *= v
+    a1 *= l[..., 1]
+    a2 -= a1
+    return a2
 
 
 def volume_density(tp: TensorPoint):
     """Coefficient of dx1 wedge dx2 wedge dtheta in the volume element.
 
-    Assembled numerically by wedging the chart components of omega, the
-    angular-metric rows of d omega, and the vertical coframe, with the
-    overall orientation chosen so the flat metric gives density one.  The
-    coframe's connection entries are left at 0: they drop out exactly
-    (see the module docstring), so the connection is never evaluated.
+    The wedge of the chart rows omega = (l_1, l_2, 0), (A_1j, A_2j, 0) of
+    d omega and (0, 0, v_j) of the vertical coframe, v = (-y^2, y^1) / F,
+    expanded over its structural zeros: the determinant for each j is
+    l_1 (A_2j v_j) - l_2 (A_1j v_j), with A_ij = g_ij - l_i l_j taken
+    entry by entry.  The coframe's connection entries are among the zeros
+    (see the module docstring), so the connection is never evaluated.  The
+    orientation makes the flat metric give density one.
     """
     if tp.dim != 2:
         raise FinslerError("volume density is implemented for surface bases")
-    A = d_omega_matrix(tp)
-    vert = _fiber_coframe(tp)
-    batch = tp.F.shape
-    omega = np.zeros(batch + (3,))
-    omega[..., :2] = tp.l_down
-    rho = np.zeros(batch)
-    beta = np.zeros(batch + (3,))
-    for j in range(2):
-        beta[..., 0] = A[..., 0, j]
-        beta[..., 1] = A[..., 1, j]
-        beta[..., 2] = 0.0
-        rho = rho + _det3(omega, beta, vert[..., j, :])
+    rho = _wedge_term(tp, 0, -tp.y[..., 1] / tp.F)
+    rho += _wedge_term(tp, 1, tp.y[..., 0] / tp.F)
     if not np.all(rho > 0.0):
         raise FinslerError("volume density is not positive; metric data is "
                            "inconsistent at some node")

@@ -254,14 +254,18 @@ def _dilate_chebyshev(mask, cells):
 
 def _smooth_start(pinned, pin_vals, free_init, sweeps):
     u = np.where(pinned, pin_vals, free_init)
-    ones = np.ones_like(u)
+    # neighbour count of every node: 4 inside, 3 on an edge, 2 at a corner
+    c = np.zeros_like(u)
+    c[1:, :] += 1.0
+    c[:-1, :] += 1.0
+    c[:, 1:] += 1.0
+    c[:, :-1] += 1.0
     for _ in range(sweeps):
         s = np.zeros_like(u)
-        c = np.zeros_like(u)
-        s[1:, :] += u[:-1, :]; c[1:, :] += ones[:-1, :]
-        s[:-1, :] += u[1:, :]; c[:-1, :] += ones[1:, :]
-        s[:, 1:] += u[:, :-1]; c[:, 1:] += ones[:, :-1]
-        s[:, :-1] += u[:, 1:]; c[:, :-1] += ones[:, 1:]
+        s[1:, :] += u[:-1, :]
+        s[:-1, :] += u[1:, :]
+        s[:, 1:] += u[:, :-1]
+        s[:, :-1] += u[:, 1:]
         u = np.where(pinned, pin_vals, s / c)
     return u
 

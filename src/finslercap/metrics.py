@@ -198,18 +198,27 @@ def _assert_spd(mat, label):
         raise InvalidMetricError(f"{label} is not positive definite")
 
 
+def _randers_norm2(amat, b):
+    """|b|_a^2 = b_i a^{ij} b_j; adjugate over determinant for 2x2 a."""
+    if amat.shape[-1] == 2:
+        b0, b1 = b
+        det = amat[..., 0, 0] * amat[..., 1, 1] - amat[..., 0, 1] ** 2
+        return (amat[..., 1, 1] * b0 * b0 - 2.0 * amat[..., 0, 1] * b0 * b1
+                + amat[..., 0, 0] * b1 * b1) / det
+    bvec = np.empty(amat.shape[:-1])
+    for i, bi in enumerate(b):
+        bvec[..., i] = bi
+    return np.einsum("...i,...i->...",
+                     np.linalg.solve(amat, bvec[..., None])[..., 0], bvec)
+
+
 def validate_at(m, x):
     """Check catalog validity conditions at numeric base points."""
     if m.kind in ("riemannian", "randers"):
         amat = _numeric_matrix(m.a, x)
         _assert_spd(amat, "riemannian coefficient matrix a(x)")
         if m.kind == "randers":
-            bvec = np.empty(amat.shape[:-1])
-            for i, bi in enumerate(m.b):
-                bvec[..., i] = bi(x)
-            norm2 = np.einsum("...i,...i->...",
-                              np.linalg.solve(amat, bvec[..., None])[..., 0],
-                              bvec)
+            norm2 = _randers_norm2(amat, [bi(x) for bi in m.b])
             if not np.all(norm2 < 1.0):
                 raise InvalidMetricError(
                     "randers drift has a-norm >= 1 somewhere on the queried points")

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finslercap.errors import DirectionError, InvalidMetricError
 from finslercap.exprs import (const, coord, exponential, expr_sum, gaussian,
                               linear, log_radial, parse_expr,
                               precompose_affine, sinusoid)
+from finslercap import metrics
 from finslercap.metrics import (MetricSpec, cartan_tensor, conformal_wrap,
                                 euclidean, eval_F, formal_christoffel,
                                 fundamental_tensor, identity_matrix_field,
@@ -280,6 +283,56 @@ def test_invalid_randers_rejected_where_queried():
     validate_at(grow, (0.5, 0.0))
     with pytest.raises(InvalidMetricError):
         validate_at(grow, (1.5, 0.0))
+
+
+# a = R(t) diag(lam) R(t)^T with condition number at most 100, and a
+# direction phi for the drift b
+_SPD_AND_DIRECTION = st.tuples(
+    st.floats(0.1, 10.0), st.floats(0.1, 10.0),
+    st.floats(0.0, math.pi), st.floats(0.0, 2.0 * math.pi))
+
+
+def _spd(lam0, lam1, t):
+    c, s = math.cos(t), math.sin(t)
+    a00 = lam0 * c * c + lam1 * s * s
+    a11 = lam0 * s * s + lam1 * c * c
+    a01 = (lam0 - lam1) * c * s
+    return np.array([[a00, a01], [a01, a11]])
+
+
+def _solve_norm2(a, b):
+    return float(b @ np.linalg.solve(a, b))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SPD_AND_DIRECTION)
+def test_randers_norm_closed_form_matches_solve(draw):
+    lam0, lam1, t, phi = draw
+    a = _spd(lam0, lam1, t)
+    b = np.array([math.cos(phi), math.sin(phi)])
+    ref = _solve_norm2(a, b)
+    got = float(metrics._randers_norm2(a, tuple(b)))
+    assert abs(got - ref) <= 1e-14 * ref
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SPD_AND_DIRECTION)
+def test_randers_validity_boundary_is_unit_drift_norm(draw):
+    lam0, lam1, t, phi = draw
+    a = _spd(lam0, lam1, t)
+    b = np.array([math.cos(phi), math.sin(phi)])
+    b /= math.sqrt(_solve_norm2(a, b))
+    coeffs = ((const(a[0, 0]), const(a[0, 1])), (const(a[0, 1]), const(a[1, 1])))
+    inside = randers(coeffs, tuple(const(v) for v in (1.0 - 1e-9) * b))
+    outside = randers(coeffs, tuple(const(v) for v in (1.0 + 1e-9) * b))
+    validate_at(inside, (0.3, -0.2))
+    with pytest.raises(InvalidMetricError):
+        validate_at(outside, (0.3, -0.2))
+
+
+def test_randers_norm_beyond_two_dimensions_uses_solve():
+    a = np.diag([1.0, 2.0, 4.0])
+    assert metrics._randers_norm2(a, (1.0, 1.0, 1.0)) == 1.75
 
 
 def test_asymmetric_riemannian_rejected():

@@ -2,9 +2,9 @@
 
 ``tensor_point`` evaluates F, l, g and g^{-1} from second-order y-jets and
 leaves C, dg/dx, gamma and N to first access; ``node_tensors`` keeps only
-F, g^{-1} and rho.  The reference below evaluates every tensor eagerly,
+g^{-1} and rho.  The reference below evaluates every tensor eagerly,
 with third-order duals over all variables, ``numpy.linalg.inv`` and the
-connection entries kept in the volume wedge.
+full 3x3 volume wedge with the connection entries kept.
 """
 
 import dataclasses
@@ -16,6 +16,7 @@ from finslercap import bundle, metrics
 from finslercap.bundle import (SphereBundleGrid, d_omega_matrix, node_tensors,
                                volume_density)
 from finslercap.dual import diff
+from finslercap.errors import FinslerError
 from finslercap.exprs import const, exponential, sinusoid
 from finslercap.metrics import (conformal_wrap, euclidean,
                                 identity_matrix_field, randers, riemannian,
@@ -68,6 +69,12 @@ def _eager(m, x, y):
                 nonlin=N, nonlin_scaled=N / F[..., None, None])
 
 
+def _det3(r0, r1, r2):
+    return (r0[..., 0] * (r1[..., 1] * r2[..., 2] - r1[..., 2] * r2[..., 1])
+            - r0[..., 1] * (r1[..., 0] * r2[..., 2] - r1[..., 2] * r2[..., 0])
+            + r0[..., 2] * (r1[..., 0] * r2[..., 1] - r1[..., 1] * r2[..., 0]))
+
+
 def _wedge_with_connection(tp):
     """volume_density's wedge with the connection entries of the coframe kept."""
     A = d_omega_matrix(tp)
@@ -78,7 +85,7 @@ def _wedge_with_connection(tp):
     rho = np.zeros(tp.F.shape)
     for j in range(2):
         beta[..., :2] = A[..., :, j]
-        rho = rho + bundle._det3(omega, beta, vert[..., j, :])
+        rho = rho + _det3(omega, beta, vert[..., j, :])
     return rho
 
 
@@ -133,6 +140,17 @@ def test_volume_density_never_reads_the_connection(name):
     tp.nonlin_scaled = np.zeros_like(tp.nonlin_scaled)
     np.testing.assert_array_equal(rho, _wedge_with_connection(tp))
     np.testing.assert_array_equal(rho, volume_density(tp))
+
+
+@pytest.mark.parametrize("sign", [0.0, -1.0])
+def test_volume_density_rejects_a_nonpositive_angular_metric(sign):
+    x, y = _samples(15)
+    tp = tensor_point(SPECS["conformal-randers"], x, y)
+    ll = tp.l_down[..., :, None] * tp.l_down[..., None, :]
+    # g = l l^T + sign * A scales the angular metric A, and rho with it
+    bad = dataclasses.replace(tp, g=ll + sign * d_omega_matrix(tp))
+    with pytest.raises(FinslerError):
+        volume_density(bad)
 
 
 @pytest.mark.parametrize("name", sorted(SPECS))

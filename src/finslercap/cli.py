@@ -4,8 +4,8 @@ One command per invocation: ``tensors`` dumps the pointwise tensors of
 the configured metric, ``capacity`` minimizes a condenser energy,
 ``check`` runs the conformal identity/invariance battery, ``invariant``
 evaluates one of the point invariants, and ``selftest`` runs the
-embedded verification suite.  Exit codes: 0 ok, 1 a check failed,
-2 the solver did not converge, 3 bad input.
+registered verification checks at small sizes.  Exit codes: 0 ok, 1 a
+check failed, 2 the solver did not converge, 3 bad input.
 """
 
 import argparse
@@ -16,7 +16,7 @@ import numpy as np
 
 from .bundle import volume_density
 from .capacity import minimize, rasterize_condenser
-from .config import load_config, read_config_file
+from .config import load_config
 from .conformal import (CheckReport, check_capacity_invariance,
                         check_energy_invariance,
                         check_invariants_invariance,
@@ -27,7 +27,7 @@ from .errors import ConfigError, FinslerError
 from .metrics import tensor_point
 from .output import (base_field_csv, format_number, reports_csv, summary_csv,
                      svg_heatmap, write_csv)
-from .selftest import DEFAULT_TOLERANCES, run_selftest
+from .selftest import run_selftest
 
 _INVARIANTS = {
     "mu": invariant_mu,
@@ -206,17 +206,8 @@ def cmd_invariant(args):
 
 
 def cmd_selftest(args):
-    cp = read_config_file(args.config, tuple(args.override))
-    tolerances = {}
-    if cp.has_section("selftest"):
-        for key, value in cp.items("selftest"):
-            if not key.startswith("tol_") or key[4:] not in DEFAULT_TOLERANCES:
-                raise ConfigError(f"[selftest] unknown key {key!r}")
-            try:
-                tolerances[key[4:]] = float(value)
-            except ValueError:
-                raise ConfigError(f"[selftest] {key} must be a number")
-    reports = run_selftest(tolerances)
+    rc, _ = _load(args)
+    reports = run_selftest(rc.selftest_tols)
     return 0 if all(r.passed for r in reports) else 1
 
 

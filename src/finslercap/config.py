@@ -20,6 +20,8 @@ library.  Sections:
 [invariant] which = mu | lambda | nu | rho; points = x,y; x,y; ...;
             controls; offsets; spread; thickness
 [output]    dir, formats = csv,svg
+[selftest]  tol_<check name> thresholds of the ``selftest`` command, one
+            per name in selftest.CHECKS
 
 Command-line ``--override section.key=value`` entries are applied on
 top of the file before validation.  All validation failures raise
@@ -28,6 +30,7 @@ ConfigError so the CLI can map them to a single exit code.
 
 import configparser
 import dataclasses
+import math
 import os
 
 from .bundle import SphereBundleGrid
@@ -37,6 +40,7 @@ from .conformal import (InvariantQuery, polar_power_map, rescale_map,
 from .errors import ConfigError, FinslerError
 from .exprs import const, parse_expr
 from .metrics import conformal_wrap, euclidean, randers, riemannian
+from .selftest import CHECKS as SELFTEST_CHECKS
 from .shapes import (disk, disk_complement, outer_boundary, point_blob,
                      polyline, rect_complement, rectangle, segment)
 
@@ -92,6 +96,7 @@ class RunConfig:
     invariant: object
     out_dir: str
     formats: tuple
+    selftest_tols: dict
 
     @property
     def domain(self):
@@ -109,14 +114,22 @@ def _get(cp, sec, key, default=_MISSING):
     return default
 
 
+def _number(text, sec, key):
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ConfigError(f"[{sec}] {key}: {text.strip()!r} is not a finite "
+                          "number")
+    return value
+
+
 def _getfloat(cp, sec, key, default=_MISSING):
     raw = _get(cp, sec, key, default)
     if not isinstance(raw, str):
         return raw
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"[{sec}] {key} must be a number, got {raw!r}")
+    return _number(raw, sec, key)
 
 
 def _getint(cp, sec, key, default=_MISSING):
@@ -140,11 +153,7 @@ def _getexpr(cp, sec, key, default=_MISSING, dim=2):
 
 
 def _floats(text, sec, key):
-    try:
-        return tuple(float(v) for v in text.split(","))
-    except ValueError:
-        raise ConfigError(f"[{sec}] {key} must be comma-separated numbers, "
-                          f"got {text!r}")
+    return tuple(_number(v, sec, key) for v in text.split(","))
 
 
 def _names(text):
@@ -386,6 +395,11 @@ def parse_invariant(cp):
                           query=InvariantQuery(points=points, **kwargs))
 
 
+def parse_selftest(cp):
+    return {name: _getfloat(cp, "selftest", "tol_" + name, tol)
+            for name, (_, tol) in SELFTEST_CHECKS.items()}
+
+
 def parse_output(cp):
     if not cp.has_section("output"):
         return "out", ("csv", "svg")
@@ -407,6 +421,7 @@ _SCHEMA = {
     "invariant": {"which", "points", "controls", "offsets", "spread",
                   "thickness"},
     "output": {"dir", "formats"},
+    "selftest": {"tol_" + name for name in SELFTEST_CHECKS},
 }
 
 
@@ -417,12 +432,10 @@ def check_schema(cp):
     silently, which is far worse than an error.
     """
     for sec in cp.sections():
-        if sec == "selftest":
-            continue  # the selftest command validates its own keys
         allowed = _SCHEMA.get(sec)
         if allowed is None:
             raise ConfigError(f"unknown section [{sec}]; expected one of: "
-                              f"{', '.join(sorted(_SCHEMA))}, selftest")
+                              f"{', '.join(sorted(_SCHEMA))}")
         for key in cp.options(sec):
             if key not in allowed:
                 raise ConfigError(f"[{sec}] unknown key {key!r}; allowed: "
@@ -472,6 +485,7 @@ def load_config(path, overrides=()):
     check = parse_check(cp, metric, domain)
     invariant = parse_invariant(cp)
     out_dir, formats = parse_output(cp)
+    selftest_tols = parse_selftest(cp)
     if check is not None:
         if "capacity" in check.which and condenser is None:
             raise ConfigError("[check] which includes capacity but no "
@@ -481,4 +495,5 @@ def load_config(path, overrides=()):
                               "[invariant] section is present")
     return RunConfig(metric=metric, grid=grid, condenser=condenser,
                      solver=solver, power=power, check=check,
-                     invariant=invariant, out_dir=out_dir, formats=formats)
+                     invariant=invariant, out_dir=out_dir, formats=formats,
+                     selftest_tols=selftest_tols)

@@ -1,91 +1,103 @@
-"""Built-in verification suite.
+"""Registry of named verification checks.
 
-A fixed battery of fast checks with frozen seeds and tolerances:
-homogeneity of the metric catalog, the exterior-derivative identity of
-the contact form, flatness of the euclidean volume density, total
-bundle volume, the two pointwise pullback identities, exactness of the
-energy gradient, and a coarse annulus capacity against its closed-form
-value.  Everything runs in seconds; tolerances can be overridden (a
-zeroed tolerance is the quickest way to see the failure path).
+Each check is a function of its tolerance and its problem sizes
+(samples, seed, grid resolution) and returns one ``CheckReport``.  The
+keyword defaults are the sizes ``finslercap selftest`` runs, well under
+a second in all; the acceptance battery (``tests/test_acceptance.py``)
+calls the same functions at its own, larger sizes.  ``CHECKS`` maps
+every name to its function and its default tolerance, which
+``[selftest] tol_<name>`` overrides.  Every reported error is
+non-negative, so a negative tolerance is the way to see a check fail:
+zero is not enough, since the total volume of the flat unit square
+comes out exact.
+
+The metric catalog and ``DOMAIN`` are shared with the acceptance
+criteria that have no check here.
 """
 
 import math
+import time
 
 import numpy as np
 
 from .bundle import (ScalarField, SphereBundleGrid, d_omega_chart, integrate,
                      node_tensors)
-from .capacity import (CondenserSpec, SolverConfig, energy, energy_gradient,
-                       minimize, rasterize_condenser)
+from .capacity import (CondenserSpec, SolverConfig, energy, minimize,
+                       rasterize_condenser)
+from .capacity import energy_gradient as _energy_gradient
 from .conformal import (CheckReport, check_pullback_energy_density,
-                        check_pullback_volume, similarity_map)
-from .exprs import const, exponential, linear, sinusoid
+                        check_pullback_volume, polar_power_map, rescale_map,
+                        similarity_map)
+from .exprs import const, exponential, gaussian, sinusoid
 from .metrics import (cartan_tensor, conformal_wrap, euclidean, eval_F,
                       fundamental_tensor, identity_matrix_field, randers,
                       riemannian, tensor_point)
 from .shapes import disk, disk_complement
 
-DEFAULT_TOLERANCES = {
-    "homogeneity": 1e-10,
-    "exterior_derivative": 1e-4,
-    "flat_density": 1e-10,
-    "total_volume": 1e-3,
-    "pullback_volume": 1e-6,
-    "pullback_energy_density": 1e-8,
-    "energy_gradient": 1e-5,
-    "annulus_capacity": 8e-2,
-}
+EUCLID = euclidean()
+RIEMANN = riemannian(((exponential(1.0, (0.4, 0.0)), const(0.1)),
+                      (const(0.1), const(1.2))))
+RAND = randers(identity_matrix_field(), (const(0.3), const(-0.1)))
+CONF = conformal_wrap(RAND, sinusoid(0.25, (0.7, -0.4), 0.3))
+CATALOG = (EUCLID, RIEMANN, RAND, CONF)
+
+DOMAIN = (-2.0, -2.0, 2.0, 2.0)
 
 
-def _metric_catalog():
+def _pullback_maps():
+    # built on call: witnessing the three maps costs about 10 ms
     return (
-        euclidean(),
-        riemannian(((exponential(1.0, (0.4, 0.0)), const(0.1)),
-                    (const(0.1), const(1.2)))),
-        randers(identity_matrix_field(), (const(0.4), const(0.1))),
-        conformal_wrap(randers(identity_matrix_field(),
-                               (const(0.2), const(-0.1))),
-                       sinusoid(0.3, (1.0, 0.7))),
+        (rescale_map(CONF, gaussian(0.5, (0.2, -0.3), 1.1), DOMAIN),
+         gaussian(1.0, (0.3, -0.4), 1.2)),
+        (similarity_map(CONF, 1.6, 0.4, (0.3, -0.2), DOMAIN),
+         gaussian(1.0, (0.3, -0.4), 1.2)),
+        (polar_power_map(1.5, (0.4, -0.5, 1.8, 0.5)),
+         sinusoid(0.7, (0.9, 0.4), 0.2)),
     )
 
 
-def _check_homogeneity(tol):
-    rng = np.random.default_rng(23)
-    worst = 0.0
-    count = 0
-    for m in _metric_catalog():
-        for _ in range(8):
-            x = tuple(rng.uniform(-1.0, 1.0, 2))
-            th = rng.uniform(0.0, 2.0 * math.pi)
-            r = rng.uniform(0.3, 2.0)
-            y = (r * math.cos(th), r * math.sin(th))
-            F = eval_F(m, x, y)
-            g = fundamental_tensor(m, x, y)
-            C = cartan_tensor(m, x, y)
-            yv = np.array(y)
-            worst = max(worst, abs(yv @ g @ yv - F * F) / (F * F))
-            worst = max(worst, float(np.max(np.abs(C @ yv))))
-            for lam in (0.5, 2.0, 7.3):
-                ys = tuple(lam * v for v in y)
-                worst = max(worst, abs(eval_F(m, x, ys) - lam * F) / (lam * F))
-                worst = max(worst,
-                            float(np.max(np.abs(fundamental_tensor(m, x, ys)
-                                                - g))))
-            count += 1
-    return CheckReport("homogeneity", count, worst, tol, worst <= tol)
+def homogeneity(tol, samples=32, seed=23):
+    """F(x, ly) = lF, g(x, ly) = g, g(y, y) = F^2 and C(y) = 0 over the
+    catalog; the error is the worst of the four."""
+    rng = np.random.default_rng(seed)
+    worst_f = worst_g = worst_norm = worst_cy = 0.0
+    for k in range(samples):
+        m = CATALOG[k % len(CATALOG)]
+        x = tuple(rng.uniform(-0.9, 0.9, 2))
+        th = rng.uniform(0.0, 2.0 * math.pi)
+        r = rng.uniform(0.4, 1.8)
+        y = (r * math.cos(th), r * math.sin(th))
+        F = eval_F(m, x, y)
+        g = fundamental_tensor(m, x, y)
+        C = cartan_tensor(m, x, y)
+        yv = np.array(y)
+        worst_norm = max(worst_norm, abs(yv @ g @ yv - F * F) / (F * F))
+        worst_cy = max(worst_cy, float(np.max(np.abs(C @ yv))))
+        for lam in (0.5, 2.0, 7.3):
+            ys = tuple(lam * v for v in y)
+            worst_f = max(worst_f,
+                          abs(eval_F(m, x, ys) - lam * F) / (lam * F))
+            worst_g = max(worst_g, float(np.max(
+                np.abs(fundamental_tensor(m, x, ys) - g))))
+    err = max(worst_f, worst_g, worst_norm, worst_cy)
+    return CheckReport("homogeneity", samples, err, tol, err <= tol,
+                       f"F {worst_f:.1e}, g {worst_g:.1e}, "
+                       f"gyy {worst_norm:.1e}, Cy {worst_cy:.1e}")
 
 
-def _omega_components(m, z):
+def _omega_chart(m, z):
     tp = tensor_point(m, (z[0], z[1]), (math.cos(z[2]), math.sin(z[2])))
     return np.array([tp.l_down[0], tp.l_down[1], 0.0])
 
 
-def _check_exterior_derivative(tol, spacing=1e-2):
-    rng = np.random.default_rng(31)
+def exterior_derivative(tol, samples=8, seed=31):
+    """d(omega) in chart components against central differences of
+    omega, ``samples`` points on each of the two Randers metrics."""
+    rng = np.random.default_rng(seed)
+    spacing = 1e-2
     worst = 0.0
-    count = 0
-    for m in _metric_catalog()[2:]:
-        for _ in range(8):
+    for m in (RAND, CONF):
+        for _ in range(samples):
             z = np.array([rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0),
                           rng.uniform(0.0, 2.0 * math.pi)])
             fd = np.zeros((3, 3))
@@ -93,99 +105,126 @@ def _check_exterior_derivative(tol, spacing=1e-2):
                 zp, zm = z.copy(), z.copy()
                 zp[a] += spacing
                 zm[a] -= spacing
-                row = (_omega_components(m, zp)
-                       - _omega_components(m, zm)) / (2.0 * spacing)
+                row = (_omega_chart(m, zp) - _omega_chart(m, zm)) \
+                    / (2.0 * spacing)
                 fd[a, :] += row
                 fd[:, a] -= row
             tp = tensor_point(m, (z[0], z[1]),
                               (math.cos(z[2]), math.sin(z[2])))
             worst = max(worst, float(np.max(np.abs(fd - d_omega_chart(tp)))))
-            count += 1
-    return CheckReport("exterior_derivative", count, worst, tol, worst <= tol)
+    return CheckReport("exterior_derivative", 2 * samples, worst, tol,
+                       worst <= tol)
 
 
-def _check_flat_density(tol):
-    grid = SphereBundleGrid(0.0, 1.0, 0.0, 1.0, nx=16, ny=16, ntheta=16)
-    rho = node_tensors(euclidean(), grid).rho
+def _unit_square(n, ntheta):
+    return SphereBundleGrid(0.0, 1.0, 0.0, 1.0, nx=n, ny=n, ntheta=ntheta)
+
+
+def flat_density(tol, n=16, ntheta=16):
+    """The euclidean volume density is 1 at every node."""
+    rho = node_tensors(EUCLID, _unit_square(n, ntheta)).rho
     worst = float(np.max(np.abs(rho - 1.0)))
     return CheckReport("flat_density", rho.size, worst, tol, worst <= tol)
 
 
-def _check_total_volume(tol):
-    grid = SphereBundleGrid(0.0, 1.0, 0.0, 1.0, nx=16, ny=16, ntheta=16)
-    total = integrate(np.ones(grid.shape), euclidean(), grid)
+def total_volume(tol, n=16, ntheta=16):
+    """The bundle volume of the flat unit square is 2 pi."""
+    grid = _unit_square(n, ntheta)
+    total = integrate(np.ones(grid.shape), EUCLID, grid)
     err = abs(total - 2.0 * math.pi) / (2.0 * math.pi)
-    return CheckReport("total_volume", grid.nx * grid.ny * grid.ntheta, err,
-                       tol, err <= tol)
+    return CheckReport("total_volume", n * n * ntheta, err, tol, err <= tol)
 
 
-def _check_pullbacks(tols):
-    m = _metric_catalog()[3]
-    cm = similarity_map(m, scale=1.6, angle=0.4, shift=(0.3, -0.2),
-                        domain=(-1.0, -1.0, 1.0, 1.0))
-    vol = check_pullback_volume(cm, samples=200, seed=5,
-                                tol=tols["pullback_volume"])
-    dens = check_pullback_energy_density(cm, linear(0.0, 0.7, -0.4),
-                                         samples=200, seed=5,
-                                         tol=tols["pullback_energy_density"])
-    return vol, dens
+def _worst_of(name, reports, tol):
+    worst = max(r.max_rel_err for r in reports)
+    return CheckReport(name, sum(r.samples for r in reports), worst, tol,
+                       all(r.passed for r in reports))
 
 
-def _check_energy_gradient(tol):
+def pullback_volume(tol, samples=200, seed=5):
+    """Volume densities across each of the three maps."""
+    return _worst_of("pullback_volume", [
+        check_pullback_volume(cm, samples=samples, seed=seed, tol=tol)
+        for cm, _ in _pullback_maps()], tol)
+
+
+def pullback_energy_density(tol, samples=200, seed=5):
+    """Lifted energy densities across each of the three maps."""
+    return _worst_of("pullback_energy_density", [
+        check_pullback_energy_density(cm, up, samples=samples, seed=seed,
+                                      tol=tol)
+        for cm, up in _pullback_maps()], tol)
+
+
+def energy_gradient(tol, samples=4, seed=47):
+    """Directional derivatives of the energy against central differences,
+    on random admissible fields over the catalog."""
     grid = SphereBundleGrid(-1.5, 1.5, -1.5, 1.5, nx=16, ny=16, ntheta=8)
-    m = _metric_catalog()[3]
     cond = CondenserSpec(disk_complement(0.0, 0.0, 1.2), disk(0.0, 0.0, 0.5))
     m0, m1 = rasterize_condenser(cond, grid)
     pinned = m0 | m1
-    rng = np.random.default_rng(47)
+    rng = np.random.default_rng(seed)
+    eps = 1e-6
     worst = 0.0
-    for _ in range(3):
+    for k in range(samples):
+        m = CATALOG[k % len(CATALOG)]
         vals = np.where(m1, 1.0, rng.uniform(0.0, 1.0, grid.base_shape))
         vals = np.where(m0, 0.0, vals)
         u = ScalarField(values=vals, pinned=pinned)
         v = np.where(pinned, 0.0, rng.standard_normal(grid.base_shape))
-        grad = energy_gradient(u, m, grid)
-        exact = float(np.sum(grad * v))
-        eps = 1e-6
+        exact = float(np.sum(_energy_gradient(u, m, grid) * v))
         up = ScalarField(values=vals + eps * v, pinned=pinned)
         um = ScalarField(values=vals - eps * v, pinned=pinned)
         fd = (energy(up, m, grid) - energy(um, m, grid)) / (2.0 * eps)
         worst = max(worst, abs(fd - exact) / max(abs(exact), 1e-30))
-    return CheckReport("energy_gradient", 3, worst, tol, worst <= tol)
+    return CheckReport("energy_gradient", samples, worst, tol, worst <= tol)
 
 
-def _check_annulus(tol):
-    grid = SphereBundleGrid(-2.0, 2.0, -2.0, 2.0, nx=64, ny=64, ntheta=8)
-    r0 = 0.5
+def annulus_capacity(tol, n=64, ntheta=8):
+    """Euclidean annulus with radius ratio e against 4 pi^2."""
+    grid = SphereBundleGrid(-2.0, 2.0, -2.0, 2.0, nx=n, ny=n, ntheta=ntheta)
+    r0 = 0.7
     cond = CondenserSpec(disk_complement(0.0, 0.0, r0 * math.e),
                          disk(0.0, 0.0, r0))
-    res = minimize(cond, euclidean(), grid, cfg=SolverConfig(tol=1e-7))
+    res = minimize(cond, EUCLID, grid, cfg=SolverConfig(tol=1e-6))
     exact = 4.0 * math.pi ** 2
     err = abs(res.value - exact) / exact
-    passed = err <= tol and res.converged
-    detail = f"value {res.value:.6f} vs {exact:.6f}"
-    return CheckReport("annulus_capacity", 1, err, tol, passed, detail)
+    return CheckReport("annulus_capacity", 1, err, tol,
+                       err <= tol and res.converged,
+                       f"value {res.value:.6f} vs {exact:.6f}, "
+                       f"rel {err:.2%}, {res.iterations} its")
+
+
+# name -> (check, threshold of ``finslercap selftest``)
+CHECKS = {
+    "homogeneity": (homogeneity, 1e-10),
+    "exterior_derivative": (exterior_derivative, 1e-4),
+    "flat_density": (flat_density, 1e-10),
+    "total_volume": (total_volume, 1e-3),
+    "pullback_volume": (pullback_volume, 1e-6),
+    "pullback_energy_density": (pullback_energy_density, 1e-8),
+    "energy_gradient": (energy_gradient, 1e-5),
+    "annulus_capacity": (annulus_capacity, 8e-2),
+}
 
 
 def run_selftest(tolerances=None, echo=print):
-    """Run every check; returns the list of reports in run order."""
-    tols = dict(DEFAULT_TOLERANCES)
-    if tolerances:
-        unknown = set(tolerances) - set(tols)
-        if unknown:
-            raise ValueError("unknown selftest tolerance(s): "
-                             + ", ".join(sorted(unknown)))
-        tols.update(tolerances)
-    reports = [
-        _check_homogeneity(tols["homogeneity"]),
-        _check_exterior_derivative(tols["exterior_derivative"]),
-        _check_flat_density(tols["flat_density"]),
-        _check_total_volume(tols["total_volume"]),
-    ]
-    reports.extend(_check_pullbacks(tols))
-    reports.append(_check_energy_gradient(tols["energy_gradient"]))
-    reports.append(_check_annulus(tols["annulus_capacity"]))
-    if echo is not None:
-        for rep in reports:
-            echo(str(rep))
+    """Run every check at its default sizes, in registry order.
+
+    ``tolerances`` maps check names to thresholds that replace the
+    defaults.  Each report is echoed with its wall time; returns the
+    list of reports.
+    """
+    tolerances = tolerances or {}
+    unknown = set(tolerances) - set(CHECKS)
+    if unknown:
+        raise ValueError("unknown selftest tolerance(s): "
+                         + ", ".join(sorted(unknown)))
+    reports = []
+    for name, (check, default) in CHECKS.items():
+        t0 = time.perf_counter()
+        rep = check(tolerances.get(name, default))
+        if echo is not None:
+            echo(f"{rep} ({time.perf_counter() - t0:.3f}s)")
+        reports.append(rep)
     return reports

@@ -2,10 +2,12 @@
 
 Ten criteria, each with a pinned tolerance and runtime budget; every
 test records exactly one PASS/FAIL line, echoed in the terminal summary
-after the run (see conftest).  Slow solves dominate: the annulus oracle
-runs a 128x128x64 grid and the point-invariant harness runs catalog
-solves on three map/metric pairs, so the full module takes several
-minutes.
+after the run (see conftest).  Criteria 01, 03, 04, 05, 06 and 08 run
+checks of the ``finslercap.selftest`` registry at larger sizes than
+``finslercap selftest`` does, and the others share its metric catalog.
+Slow solves dominate: the annulus oracle runs a 128x128x64 grid and
+the point-invariant harness runs catalog solves on three map/metric
+pairs.  The full module takes about 5 s (05: 1.4 s, 09: 3.0 s).
 """
 
 import math
@@ -16,34 +18,24 @@ import pytest
 
 from conftest import record_criterion
 
-from finslercap.bundle import (ScalarField, SphereBundleGrid, d_omega_chart,
-                               integrate, node_tensors)
+from finslercap.bundle import ScalarField, SphereBundleGrid
 from finslercap.capacity import (CondenserSpec, SolverConfig, energy,
-                                 energy_gradient, minimize,
-                                 rasterize_condenser)
+                                 minimize)
 from finslercap.conformal import (InvariantQuery, check_capacity_invariance,
                                   check_energy_invariance,
-                                  check_invariants_invariance,
-                                  check_pullback_energy_density,
-                                  check_pullback_volume, invariant_rho,
-                                  polar_power_map, rescale, rescale_map,
-                                  rho_overlap_rule, similarity_map)
+                                  check_invariants_invariance, invariant_rho,
+                                  rescale, rescale_map, rho_overlap_rule,
+                                  similarity_map)
 from finslercap.errors import DomainError
 from finslercap.exprs import const, exponential, gaussian, sinusoid
-from finslercap.metrics import (cartan_tensor, conformal_wrap, euclidean,
-                                eval_F, formal_christoffel,
-                                fundamental_tensor, identity_matrix_field,
-                                randers, riemannian, tensor_point)
+from finslercap.metrics import (cartan_tensor, eval_F, formal_christoffel,
+                                fundamental_tensor, randers)
+from finslercap.selftest import (CONF, DOMAIN, EUCLID, RAND, annulus_capacity,
+                                 energy_gradient, exterior_derivative,
+                                 flat_density, homogeneity,
+                                 pullback_energy_density, pullback_volume,
+                                 total_volume)
 from finslercap.shapes import disk, disk_complement
-
-EUCLID = euclidean()
-RIEMANN = riemannian(((exponential(1.0, (0.4, 0.0)), const(0.1)),
-                      (const(0.1), const(1.2))))
-RAND = randers(identity_matrix_field(), (const(0.3), const(-0.1)))
-CONF = conformal_wrap(RAND, sinusoid(0.25, (0.7, -0.4), 0.3))
-CATALOG = (EUCLID, RIEMANN, RAND, CONF)
-
-DOMAIN = (-2.0, -2.0, 2.0, 2.0)
 
 
 def _criterion(name, budget, ok, elapsed, detail):
@@ -61,32 +53,9 @@ def _criterion(name, budget, ok, elapsed, detail):
 
 def test_01_homogeneity_and_tensor_identities():
     t0 = time.perf_counter()
-    rng = np.random.default_rng(101)
-    worst_f = worst_g = worst_norm = worst_cy = 0.0
-    for k in range(100):
-        m = CATALOG[k % len(CATALOG)]
-        x = tuple(rng.uniform(-0.9, 0.9, 2))
-        th = rng.uniform(0.0, 2.0 * math.pi)
-        r = rng.uniform(0.4, 1.8)
-        y = (r * math.cos(th), r * math.sin(th))
-        F = eval_F(m, x, y)
-        g = fundamental_tensor(m, x, y)
-        C = cartan_tensor(m, x, y)
-        yv = np.array(y)
-        worst_norm = max(worst_norm, abs(yv @ g @ yv - F * F) / (F * F))
-        worst_cy = max(worst_cy, float(np.max(np.abs(C @ yv))))
-        for lam in (0.5, 2.0, 7.3):
-            ys = tuple(lam * v for v in y)
-            worst_f = max(worst_f,
-                          abs(eval_F(m, x, ys) - lam * F) / (lam * F))
-            worst_g = max(worst_g, float(np.max(
-                np.abs(fundamental_tensor(m, x, ys) - g))))
-    ok = (worst_f <= 1e-12 and worst_g <= 1e-10
-          and worst_norm <= 1e-10 and worst_cy <= 1e-10)
-    _criterion("01 homogeneity/tensor identities", 10.0, ok,
-               time.perf_counter() - t0,
-               f"F {worst_f:.1e}, g {worst_g:.1e}, "
-               f"gyy {worst_norm:.1e}, Cy {worst_cy:.1e}")
+    rep = homogeneity(1e-12, samples=100, seed=101)
+    _criterion("01 homogeneity/tensor identities", 10.0, rep.passed,
+               time.perf_counter() - t0, rep.detail)
 
 
 # -- 2: exact derivatives against central finite differences -----------------
@@ -169,48 +138,22 @@ def test_02_derivative_oracle_on_the_randers_family():
 
 def test_03_flat_density_and_total_volume():
     t0 = time.perf_counter()
-    g = SphereBundleGrid(0.0, 1.0, 0.0, 1.0, nx=32, ny=32, ntheta=32)
-    rho = node_tensors(EUCLID, g).rho
-    dev = float(np.max(np.abs(rho - 1.0)))
-    total = integrate(np.ones(g.shape), EUCLID, g)
-    vol_err = abs(total - 2.0 * math.pi) / (2.0 * math.pi)
-    ok = dev <= 1e-10 and vol_err <= 1e-3
-    _criterion("03 flat density / total volume", 5.0, ok,
-               time.perf_counter() - t0,
-               f"max|rho-1| {dev:.1e}, volume rel {vol_err:.1e}")
+    dens = flat_density(1e-10, n=32, ntheta=32)
+    vol = total_volume(1e-3, n=32, ntheta=32)
+    _criterion("03 flat density / total volume", 5.0,
+               dens.passed and vol.passed, time.perf_counter() - t0,
+               f"max|rho-1| {dens.max_rel_err:.1e}, "
+               f"volume rel {vol.max_rel_err:.1e}")
 
 
 # -- 4: exterior derivative of the contact form -------------------------------
 
 
-def _omega_chart(m, z):
-    tp = tensor_point(m, (z[0], z[1]), (math.cos(z[2]), math.sin(z[2])))
-    return np.array([tp.l_down[0], tp.l_down[1], 0.0])
-
-
 def test_04_contact_form_exterior_derivative():
     t0 = time.perf_counter()
-    rng = np.random.default_rng(107)
-    spacing = 1e-2
-    worst = 0.0
-    for m in (RAND, CONF):
-        for _ in range(10):
-            z = np.array([rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0),
-                          rng.uniform(0.0, 2.0 * math.pi)])
-            fd = np.zeros((3, 3))
-            for a in range(3):
-                zp, zm = z.copy(), z.copy()
-                zp[a] += spacing
-                zm[a] -= spacing
-                row = (_omega_chart(m, zp) - _omega_chart(m, zm)) \
-                    / (2.0 * spacing)
-                fd[a, :] += row
-                fd[:, a] -= row
-            tp = tensor_point(m, (z[0], z[1]),
-                              (math.cos(z[2]), math.sin(z[2])))
-            worst = max(worst, float(np.max(np.abs(fd - d_omega_chart(tp)))))
-    _criterion("04 contact form d(omega)", 30.0, worst <= 1e-4,
-               time.perf_counter() - t0, f"max abs dev {worst:.2e}")
+    rep = exterior_derivative(1e-4, samples=10, seed=107)
+    _criterion("04 contact form d(omega)", 30.0, rep.passed,
+               time.perf_counter() - t0, f"max abs dev {rep.max_rel_err:.2e}")
 
 
 # -- 5: annulus capacity against the closed-form value ------------------------
@@ -218,17 +161,9 @@ def test_04_contact_form_exterior_derivative():
 
 def test_05_annulus_capacity_oracle():
     t0 = time.perf_counter()
-    g = SphereBundleGrid(-2.0, 2.0, -2.0, 2.0, nx=128, ny=128, ntheta=64)
-    r0 = 0.7
-    cond = CondenserSpec(disk_complement(0.0, 0.0, r0 * math.e),
-                         disk(0.0, 0.0, r0))
-    res = minimize(cond, EUCLID, g, cfg=SolverConfig(tol=1e-6))
-    exact = 4.0 * math.pi ** 2
-    err = abs(res.value - exact) / exact
-    ok = err <= 3e-2 and res.converged
-    _criterion("05 annulus capacity", 60.0, ok, time.perf_counter() - t0,
-               f"value {res.value:.6f} vs {exact:.6f}, rel {err:.2%}, "
-               f"{res.iterations} its")
+    rep = annulus_capacity(3e-2, n=128, ntheta=64)
+    _criterion("05 annulus capacity", 60.0, rep.passed,
+               time.perf_counter() - t0, rep.detail)
 
 
 # -- 6: energy gradient against finite differences ----------------------------
@@ -236,26 +171,9 @@ def test_05_annulus_capacity_oracle():
 
 def test_06_energy_gradient_oracle():
     t0 = time.perf_counter()
-    g = SphereBundleGrid(-1.5, 1.5, -1.5, 1.5, nx=16, ny=16, ntheta=8)
-    cond = CondenserSpec(disk_complement(0.0, 0.0, 1.2), disk(0.0, 0.0, 0.5))
-    m0, m1 = rasterize_condenser(cond, g)
-    pinned = m0 | m1
-    rng = np.random.default_rng(109)
-    eps = 1e-6
-    worst = 0.0
-    for k in range(20):
-        m = CATALOG[k % len(CATALOG)]
-        vals = np.where(m1, 1.0, rng.uniform(0.0, 1.0, g.base_shape))
-        vals = np.where(m0, 0.0, vals)
-        u = ScalarField(values=vals, pinned=pinned)
-        v = np.where(pinned, 0.0, rng.standard_normal(g.base_shape))
-        exact = float(np.sum(energy_gradient(u, m, g) * v))
-        up = ScalarField(values=vals + eps * v, pinned=pinned)
-        um = ScalarField(values=vals - eps * v, pinned=pinned)
-        fd = (energy(up, m, g) - energy(um, m, g)) / (2.0 * eps)
-        worst = max(worst, abs(fd - exact) / max(abs(exact), 1e-30))
-    _criterion("06 energy gradient", 30.0, worst <= 1e-5,
-               time.perf_counter() - t0, f"max rel dev {worst:.2e}")
+    rep = energy_gradient(1e-5, samples=20, seed=109)
+    _criterion("06 energy gradient", 30.0, rep.passed,
+               time.perf_counter() - t0, f"max rel dev {rep.max_rel_err:.2e}")
 
 
 # -- 7: conformal invariance of energy and capacity ---------------------------
@@ -300,25 +218,12 @@ def test_07_conformal_energy_and_capacity_invariance():
 
 def test_08_pointwise_pullback_identities():
     t0 = time.perf_counter()
-    maps = [
-        rescale_map(CONF, gaussian(0.5, (0.2, -0.3), 1.1), DOMAIN),
-        similarity_map(CONF, 1.6, 0.4, (0.3, -0.2), DOMAIN),
-        polar_power_map(1.5, (0.4, -0.5, 1.8, 0.5)),
-    ]
-    ups = [gaussian(1.0, (0.3, -0.4), 1.2),
-           gaussian(1.0, (0.3, -0.4), 1.2),
-           sinusoid(0.7, (0.9, 0.4), 0.2)]
-    reports = []
-    for cm, up in zip(maps, ups):
-        reports.append(check_pullback_volume(cm, samples=1000, seed=113,
-                                             tol=1e-6))
-        reports.append(check_pullback_energy_density(cm, up, samples=1000,
-                                                     seed=113, tol=1e-8))
-    ok = all(r.passed for r in reports)
-    worst = max(r.max_rel_err for r in reports)
-    _criterion("08 pullback identities (volume/energy density)", 30.0, ok,
-               time.perf_counter() - t0,
-               f"{len(reports)} checks, worst rel {worst:.1e}")
+    vol = pullback_volume(1e-6, samples=1000, seed=113)
+    dens = pullback_energy_density(1e-8, samples=1000, seed=113)
+    _criterion("08 pullback identities (volume/energy density)", 30.0,
+               vol.passed and dens.passed, time.perf_counter() - t0,
+               f"both identities on 3 maps, worst rel "
+               f"{max(vol.max_rel_err, dens.max_rel_err):.1e}")
 
 
 # -- 9: point invariants across three catalog maps ---------------------------

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from finslercap.bundle import ScalarField, SphereBundleGrid, integrate
 import finslercap.capacity as capacity
@@ -390,6 +392,42 @@ def test_empty_plate_rejected():
                          disk(0.05, 0.05, 0.01))
     with pytest.raises(ShapeError):
         minimize(cond, EUCLID, g)
+
+
+_DISK = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
+                  st.floats(0.05, 1.2))
+
+
+def _chebyshev_gap(m0, m1):
+    i0, j0 = np.nonzero(m0)
+    i1, j1 = np.nonzero(m1)
+    return int(np.min(np.maximum(np.abs(i0[:, None] - i1[None, :]),
+                                 np.abs(j0[:, None] - j1[None, :]))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_DISK, _DISK)
+@example((-0.1, -0.1, 0.3), (0.1, 0.1, 0.3))     # shared nodes
+@example((-0.1, -0.1, 0.05), (0.3, -0.1, 0.05))  # two cells apart
+@example((-0.7, -0.7, 0.15), (0.7, 0.7, 0.15))   # room for a solve
+def test_random_disk_plates_follow_the_admissibility_rules(p0, p1):
+    g = grid(n=10, half=1.0)
+    cond = CondenserSpec(disk(*p0), disk(*p1))
+    m0, m1 = cond.c0.rasterize(g), cond.c1.rasterize(g)
+    if not (m0.any() and m1.any()):
+        with pytest.raises(ShapeError):
+            minimize(cond, EUCLID, g)
+        return
+    gap = _chebyshev_gap(m0, m1)
+    if gap == 0:
+        res = minimize(cond, EUCLID, g)
+        assert math.isinf(res.value) and res.iterations == 0
+    elif gap <= 2 or (m0 | m1).all():
+        with pytest.raises(ShapeError):
+            minimize(cond, EUCLID, g)
+    else:
+        res = minimize(cond, EUCLID, g, cfg=SolverConfig(max_iter=1))
+        assert math.isfinite(res.value) and res.value > 0.0
 
 
 def test_solver_is_deterministic():

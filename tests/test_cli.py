@@ -16,6 +16,7 @@ from finslercap.errors import ConfigError
 from finslercap.exprs import const
 from finslercap.output import (base_field_csv, format_number, summary_csv,
                                svg_heatmap, write_csv)
+from finslercap.selftest import CHECKS as SELFTEST_CHECKS
 
 
 def write_ini(tmp_path, text, name="run.ini"):
@@ -450,15 +451,53 @@ def test_invariant_needs_its_section(tmp_path, capsys):
     assert "invariant" in capsys.readouterr().err
 
 
-def test_selftest_runs_clean_and_detects_corruption(tmp_path, capsys):
+def test_selftest_runs_clean_and_detects_corruption(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
     assert "annulus_capacity" in out and "FAIL" not in out
-    # an unachievable tolerance must surface as a failure, not a pass
-    assert main(["selftest", "--override",
-                 "selftest.tol_annulus_capacity=1e-12"]) == 1
-    assert "FAIL" in capsys.readouterr().out
     assert main(["selftest", "--override", "selftest.tol_bogus=1"]) == 3
+    assert main(["selftest", "--override",
+                 "selftest.tol_total_volume=tight"]) == 3
+
+
+@pytest.mark.parametrize("name", list(SELFTEST_CHECKS))
+def test_selftest_tolerance_reaches_its_check(capsys, name):
+    # every error is >= 0, so tol -1 fails exactly the named check; tol 0
+    # would not, since total_volume comes out exact
+    assert main(["selftest", "--override", f"selftest.tol_{name}=-1"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == list(SELFTEST_CHECKS)
+    for line in lines:
+        failed = line.startswith(name + ":")
+        assert ("-> FAIL" in line) == failed
+        assert ("-> pass" in line) != failed
+
+
+_ALL_SECTIONS = BASE + """
+[check]
+which = volume
+
+[invariant]
+which = mu
+points = -0.8,-0.5; 0.9,0.6
+"""
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command, key", [
+    ("capacity", "solver.tol"),
+    ("capacity", "solver.power"),
+    ("check", "check.tol_volume"),
+    ("capacity", "domain.x1max"),
+    ("invariant", "invariant.spread"),
+    ("invariant", "invariant.offsets"),
+    ("selftest", "selftest.tol_homogeneity"),
+])
+def test_non_finite_numbers_exit_3(tmp_path, capsys, command, key, value):
+    path = write_ini(tmp_path, _ALL_SECTIONS)
+    assert main([command, "--config", path,
+                 "--override", f"{key}={value}"]) == 3
+    assert "is not a finite number" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_3(capsys):

@@ -330,6 +330,25 @@ def test_randers_validity_boundary_is_unit_drift_norm(draw):
         validate_at(outside, (0.3, -0.2))
 
 
+@settings(max_examples=300, deadline=None)
+@given(_SPD_AND_DIRECTION, st.floats(0.0, 0.99), st.floats(0.0, 2.0 * math.pi),
+       st.floats(1e-3, 1e3))
+def test_randers_is_positively_homogeneous(draw, size, psi, lam):
+    lam0, lam1, t, phi = draw
+    a = _spd(lam0, lam1, t)
+    b = np.array([math.cos(phi), math.sin(phi)])
+    b *= size / math.sqrt(_solve_norm2(a, b))  # |b|_a = size < 1
+    coeffs = ((const(a[0, 0]), const(a[0, 1])), (const(a[0, 1]), const(a[1, 1])))
+    m = randers(coeffs, tuple(const(v) for v in b))
+    x, y = (0.3, -0.2), (math.cos(psi), math.sin(psi))
+    F = eval_F(m, x, y)
+    g = fundamental_tensor(m, x, y)
+    ys = (lam * y[0], lam * y[1])
+    assert abs(eval_F(m, x, ys) - lam * F) <= 1e-12 * lam * F
+    assert np.max(np.abs(fundamental_tensor(m, x, ys) - g)) \
+        <= 1e-12 * np.max(np.abs(g))
+
+
 def test_randers_norm_beyond_two_dimensions_uses_solve():
     a = np.diag([1.0, 2.0, 4.0])
     assert metrics._randers_norm2(a, (1.0, 1.0, 1.0)) == 1.75

@@ -30,9 +30,13 @@ data, so each positive density comes out bit for bit as the full
 determinant gives it, and a grid that only needs g^{-1} and the density
 never evaluates N or the third-order jets behind it.
 
-Base-field derivatives use central differences inside and one-sided
-second-order stencils on the boundary; fiber derivatives use periodic
-central differences.
+Base-field derivatives take central differences, except at the nodes
+that ``one_sided`` lists: the grid edges and, for a pinned field, the
+pinned rim nodes that face free nodes.  Those take one-sided second-order
+stencils into the grid or the free side.  Only those nodes are stored, as
+flat indices, so the derivative and its transpose cost one central
+difference plus a short gather or scatter.  Fiber derivatives use
+periodic central differences.
 """
 
 from __future__ import annotations
@@ -163,105 +167,84 @@ def vertical_lift(u, grid):
 
 # -- stencils -----------------------------------------------------------------
 
-def d_axis(values, h, axis):
-    """Central differences inside, one-sided second order on the edges."""
-    v = np.moveaxis(np.asarray(values, dtype=float), axis, 0)
-    if v.shape[0] < 3:
-        raise ShapeError("derivative stencils need at least 3 nodes per axis")
-    out = np.empty_like(v)
-    out[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
-    out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
-    out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
-    return np.moveaxis(out, 0, axis)
+def one_sided(shape, axis, pinned=None):
+    """Nodes that differentiate one-sidedly along ``axis``.
 
-
-def d_axis_adjoint(w, h, axis):
-    """Exact transpose of :func:`d_axis` (needed by energy gradients)."""
-    v = np.moveaxis(np.asarray(w, dtype=float), axis, 0)
-    out = np.zeros_like(v)
-    c = 1.0 / (2.0 * h)
-    out[2:] += v[1:-1] * c
-    out[:-2] -= v[1:-1] * c
-    out[0] += -3.0 * c * v[0]
-    out[1] += 4.0 * c * v[0]
-    out[2] += -c * v[0]
-    out[-1] += 3.0 * c * v[-1]
-    out[-2] += -4.0 * c * v[-1]
-    out[-3] += c * v[-1]
-    return np.moveaxis(out, 0, axis)
-
-
-def axis_stencil(shape, h, axis, pinned=None):
-    """Derivative stencil along a base axis as banded coefficients.
-
-    Returns an array ``c`` of shape (5,) + shape where ``(D v)[i] =
-    sum_o c[o+2][i] * v[i+o]`` along ``axis``.  Interior nodes use central
-    differences.  One-sided second-order stencils apply at the grid edges
-    and, when a pin mask is given, at nodes on the rim of a pinned block
-    facing free nodes — so the integrand of pinned minimization problems
-    stays defined up to the pinned set, where admissible fields carry
-    prescribed values, instead of smearing the kink across it.
+    Returns (forward, backward), flat C-order indices into ``shape``.
+    The first node on the axis is forward and the last backward.  With a
+    pin mask, a pinned node on the rim of a pinned block that faces free
+    nodes differentiates into the free side too, so the integrand of a
+    pinned minimization problem stays defined up to the pinned set, where
+    admissible fields carry prescribed values, instead of smearing the
+    kink across it.  Every other node takes a central difference.
     """
     n = shape[axis]
     if n < 3:
         raise ShapeError("derivative stencils need at least 3 nodes per axis")
-    sh = (shape[axis],) + tuple(s for a, s in enumerate(shape) if a != axis)
-    c = np.zeros((5,) + sh)
-    w = 1.0 / (2.0 * h)
-    c[1][1:-1] = -w
-    c[3][1:-1] = w
-    c[2][0], c[3][0], c[4][0] = -3.0 * w, 4.0 * w, -w
-    c[2][-1], c[1][-1], c[0][-1] = 3.0 * w, -4.0 * w, w
-    if pinned is not None and pinned.any():
+    fwd = np.zeros(shape, dtype=bool)
+    bwd = np.zeros(shape, dtype=bool)
+    F = np.moveaxis(fwd, axis, 0)
+    B = np.moveaxis(bwd, axis, 0)
+    F[0] = True
+    B[-1] = True
+    if pinned is not None:
         P = np.moveaxis(np.asarray(pinned, dtype=bool), axis, 0)
-        idx = np.arange(1, n - 1).reshape((-1,) + (1,) * (P.ndim - 1))
         here, back, ahead = P[1:-1], P[:-2], P[2:]
-        # pinned rim nodes: differentiate one-sidedly into the free side
-        right = here & back & ~ahead & (idx <= n - 3)
-        left = here & ahead & ~back & (idx >= 2)
-        for band in c:
-            band[1:-1][right] = 0.0
-            band[1:-1][left] = 0.0
-        c[2][1:-1][right], c[3][1:-1][right], c[4][1:-1][right] = -3.0 * w, 4.0 * w, -w
-        c[2][1:-1][left], c[1][1:-1][left], c[0][1:-1][left] = 3.0 * w, -4.0 * w, w
-    return c
+        # the two nodes a stencil reaches into must exist
+        F[1:-2] |= (here & back & ~ahead)[:-1]
+        B[2:-1] |= (here & ahead & ~back)[1:]
+    return np.flatnonzero(fwd), np.flatnonzero(bwd)
 
 
-def apply_stencil(c, values, axis):
-    """Apply banded stencil coefficients along ``axis``."""
-    v = np.moveaxis(np.asarray(values, dtype=float), axis, 0)
-    n = v.shape[0]
-    out = np.zeros_like(v)
-    for o in (-2, -1, 0, 1, 2):
-        band = c[o + 2]
-        if o >= 0:
-            out[:n - o] += band[:n - o] * v[o:]
-        else:
-            out[-o:] += band[-o:] * v[:n + o]
-    return np.moveaxis(out, 0, axis)
+def d_axis(values, h, axis, sides=None):
+    """Second-order derivative along ``axis``.
+
+    Central differences, except at the ``one_sided`` nodes ``sides``,
+    which take one-sided second-order stencils; None means the grid edges
+    only.
+    """
+    vals = np.ascontiguousarray(values, dtype=float)
+    fwd, bwd = one_sided(vals.shape, axis) if sides is None else sides
+    ax = (slice(None),) * axis
+    out = np.empty_like(vals)
+    inner = out[ax + (slice(1, -1),)]
+    np.subtract(vals[ax + (slice(2, None),)], vals[ax + (slice(None, -2),)],
+                out=inner)
+    inner /= 2.0 * h
+    s = vals.strides[axis] // vals.itemsize
+    vf = vals.reshape(-1)
+    of = out.reshape(-1)
+    of[fwd] = (-3.0 * vf[fwd] + 4.0 * vf[fwd + s] - vf[fwd + 2 * s]) / (2.0 * h)
+    of[bwd] = (3.0 * vf[bwd] - 4.0 * vf[bwd - s] + vf[bwd - 2 * s]) / (2.0 * h)
+    return out
 
 
-def apply_stencil_adjoint(c, w, axis):
-    """Exact transpose of :func:`apply_stencil` with the same coefficients."""
-    v = np.moveaxis(np.asarray(w, dtype=float), axis, 0)
-    n = v.shape[0]
-    out = np.zeros_like(v)
-    for o in (-2, -1, 0, 1, 2):
-        band = c[o + 2]
-        if o >= 0:
-            out[o:] += band[:n - o] * v[:n - o]
-        else:
-            out[:n + o] += band[-o:] * v[-o:]
-    return np.moveaxis(out, 0, axis)
-
-
-def base_partials(values, grid, pinned=None):
-    vals = np.asarray(values, dtype=float)
-    if pinned is not None and np.asarray(pinned).any():
-        c1 = axis_stencil(vals.shape, grid.dx1, 0, pinned)
-        c2 = axis_stencil(vals.shape, grid.dx2, 1, pinned)
-        return (apply_stencil(c1, vals, 0), apply_stencil(c2, vals, 1))
-    return (d_axis(vals, grid.dx1, 0), d_axis(vals, grid.dx2, 1))
+def d_axis_adjoint(w, h, axis, sides=None):
+    """Exact transpose of :func:`d_axis` with the same ``sides``."""
+    w = np.ascontiguousarray(w, dtype=float)
+    fwd, bwd = one_sided(w.shape, axis) if sides is None else sides
+    c = 1.0 / (2.0 * h)
+    ax = (slice(None),) * axis
+    # central part: the one-sided nodes contribute nothing to it
+    wc = w * c
+    wc.reshape(-1)[fwd] = 0.0
+    wc.reshape(-1)[bwd] = 0.0
+    out = np.zeros_like(w)
+    v = wc[ax + (slice(1, -1),)]
+    out[ax + (slice(2, None),)] += v
+    out[ax + (slice(None, -2),)] -= v
+    # scatter the one-sided rows; targets within one statement are distinct
+    s = w.strides[axis] // w.itemsize
+    of = out.reshape(-1)
+    wf = w.reshape(-1)[fwd]
+    wb = w.reshape(-1)[bwd]
+    of[fwd] += -3.0 * c * wf
+    of[fwd + s] += 4.0 * c * wf
+    of[fwd + 2 * s] += -c * wf
+    of[bwd] += 3.0 * c * wb
+    of[bwd - s] += -4.0 * c * wb
+    of[bwd - 2 * s] += c * wb
+    return out
 
 
 def fiber_partial(values, grid):
@@ -406,13 +389,15 @@ def gradient_norm_lift(u, m, grid):
 
     For a lift the fiber derivative vanishes and the horizontal part
     reduces to sqrt(g^{ij} du_i du_j) with plain base partials.  A pin
-    mask on u switches the stencils at the pinned rim (see axis_stencil).
+    mask on u makes the pinned rim one-sided (see one_sided).
     """
     vals = _values(u)
     if vals.shape != grid.base_shape:
         raise ShapeError("field shape differs from grid base shape")
     nd = node_tensors(m, grid)
-    du1, du2 = base_partials(vals, grid, pinned=getattr(u, "pinned", None))
+    pinned = getattr(u, "pinned", None)
+    du1 = d_axis(vals, grid.dx1, 0, one_sided(vals.shape, 0, pinned))
+    du2 = d_axis(vals, grid.dx2, 1, one_sided(vals.shape, 1, pinned))
     du1 = du1[:, :, None]
     du2 = du2[:, :, None]
     gi = nd.g_inv

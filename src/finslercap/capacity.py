@@ -3,7 +3,11 @@
 The discrete energy of an admissible base field u is the quadrature of
 |grad u^V|^p against the bundle volume density, with p equal to the base
 dimension (p = 2 here, though the functional accepts any p > 1).  Plates
-are rasterized shapes pinned to 0 (outer plate) and 1 (inner plate).
+are rasterized shapes pinned to 0 (outer plate) and 1 (inner plate).  The
+base partials are central differences, except on the grid edges and on
+the pinned rim nodes that face free nodes, which differentiate one-sidedly
+into the grid or the free side (``bundle.one_sided``), so no partial
+reaches across a plate.
 
 For p = 2 the energy is a quadratic form, so its minimizer over the free
 nodes solves a symmetric positive-definite linear system; matrix-free
@@ -15,7 +19,7 @@ conjugate-gradient loop solves each Newton system to the forcing term
 min(0.5, sqrt(|g|)) |g| (Eisenstat & Walker 1996), and an Armijo
 backtracking line search on the energy takes the step.
 
-The wide central stencil has no discrete maximum principle, so a solution
+This difference operator has no discrete maximum principle, so a solution
 whose free values leave [0, 1], or a Newton solve whose line search
 stalls, is finished by projected gradient descent with a backtracking
 line search, which clamps free values to [0, 1].
@@ -36,9 +40,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bundle import (ScalarField, SphereBundleGrid, apply_stencil,
-                     apply_stencil_adjoint, axis_stencil, d_axis, d_axis_adjoint,
-                     node_tensors)
+from .bundle import (ScalarField, SphereBundleGrid, d_axis, d_axis_adjoint,
+                     node_tensors, one_sided)
 from .errors import ShapeError
 from .shapes import Shape, outer_boundary
 
@@ -102,11 +105,8 @@ class EnergyFunctional:
             raise ValueError("integrand power must exceed 1")
         self.grid = grid
         self.power = float(power)
-        if pinned is not None and np.asarray(pinned).any():
-            self.bands = (axis_stencil(grid.base_shape, grid.dx1, 0, pinned),
-                          axis_stencil(grid.base_shape, grid.dx2, 1, pinned))
-        else:
-            self.bands = None
+        self.sides = (one_sided(grid.base_shape, 0, pinned),
+                      one_sided(grid.base_shape, 1, pinned))
         nd = node_tensors(m, grid)
         wgt = nd.rho * grid.cell_weight
         if region is not None:
@@ -124,17 +124,12 @@ class EnergyFunctional:
             self.wgt = wgt
 
     def _partials(self, u):
-        if self.bands is not None:
-            return (apply_stencil(self.bands[0], u, 0),
-                    apply_stencil(self.bands[1], u, 1))
-        return (d_axis(u, self.grid.dx1, 0), d_axis(u, self.grid.dx2, 1))
+        return (d_axis(u, self.grid.dx1, 0, self.sides[0]),
+                d_axis(u, self.grid.dx2, 1, self.sides[1]))
 
     def _partials_adjoint(self, w1, w2):
-        if self.bands is not None:
-            return (apply_stencil_adjoint(self.bands[0], w1, 0)
-                    + apply_stencil_adjoint(self.bands[1], w2, 1))
-        return (d_axis_adjoint(w1, self.grid.dx1, 0)
-                + d_axis_adjoint(w2, self.grid.dx2, 1))
+        return (d_axis_adjoint(w1, self.grid.dx1, 0, self.sides[0])
+                + d_axis_adjoint(w2, self.grid.dx2, 1, self.sides[1]))
 
     def apply_form(self, M, v):
         """D^T M D v for a symmetric 2x2 form M of shape (nx, ny, 2, 2).
@@ -302,8 +297,6 @@ def minimize(cond, m, grid, cfg=SolverConfig(), power=None, region=None):
     if (_dilate_chebyshev(m0, 2) & m1).any():
         raise ShapeError("condenser plates are closer than two cells; "
                          "refine the grid or separate the plates")
-    if not (~pinned).any():
-        raise ShapeError("condenser leaves no free node on this grid")
 
     func = EnergyFunctional(m, grid, power=power, region=region, pinned=pinned)
     u = _smooth_start(pinned, pin_vals, 0.5, cfg.warm_sweeps)

@@ -19,6 +19,7 @@ Catalog (x is the base point, k and c are coefficient vectors):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import dual as dm
@@ -136,6 +137,8 @@ _ZERO = const(0.0)
 def parse_expr(text, dim=2):
     """Parse the config syntax ``name:p1,p2,...`` into a ScalarExpr.
 
+    Every parameter must be a finite number.
+
     Forms (2-d): const:c | linear:c0,k1,k2 | sin:amp,k1,k2,phase
     | exp:amp,k1,k2 | gauss:amp,cx,cy,w | logr:c0,c1,cx,cy | zero
     """
@@ -148,6 +151,10 @@ def parse_expr(text, dim=2):
         vals = [float(v) for v in rest.split(",")] if rest.strip() else []
     except ValueError as exc:
         raise ValueError(f"bad numeric parameter in expression {text!r}") from exc
+    for v in vals:
+        if not math.isfinite(v):
+            raise ValueError(f"parameter {v!r} in expression {text!r} is not "
+                             "a finite number")
     if name == "const" and len(vals) == 1:
         return const(vals[0])
     if name == "linear" and len(vals) == dim + 1:

@@ -2,15 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finslercap.bundle import (BundleField, ScalarField, SphereBundleGrid,
-                               apply_stencil, apply_stencil_adjoint,
-                               axis_stencil, base_partials, d_axis,
-                               d_axis_adjoint, d_omega_chart, d_omega_matrix,
-                               fiber_partial, gradient_norm_general,
-                               gradient_norm_lift, hilbert_form, integrate,
-                               node_tensors, sasaki_chart_metric,
-                               vertical_lift, volume_density)
+                               d_axis, d_axis_adjoint, d_omega_chart,
+                               d_omega_matrix, fiber_partial,
+                               gradient_norm_general, gradient_norm_lift,
+                               hilbert_form, integrate, node_tensors,
+                               one_sided, sasaki_chart_metric, vertical_lift,
+                               volume_density)
 from finslercap.errors import FinslerError, ShapeError
 from finslercap.exprs import const, gaussian, sinusoid
 from finslercap.metrics import (conformal_wrap, euclidean,
@@ -80,13 +81,147 @@ def test_d_axis_adjoint_is_exact_transpose():
         assert lhs == pytest.approx(rhs, rel=1e-13)
 
 
+# References: the plain edge-only pair and the five-band stencil that
+# d_axis / d_axis_adjoint with one_sided node sets replaced, kept verbatim.
+
+def _ref_d_axis(values, h, axis):
+    v = np.moveaxis(np.asarray(values, dtype=float), axis, 0)
+    out = np.empty_like(v)
+    out[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
+    out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
+    out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
+    return np.moveaxis(out, 0, axis)
+
+
+def _ref_d_axis_adjoint(w, h, axis):
+    v = np.moveaxis(np.asarray(w, dtype=float), axis, 0)
+    out = np.zeros_like(v)
+    c = 1.0 / (2.0 * h)
+    out[2:] += v[1:-1] * c
+    out[:-2] -= v[1:-1] * c
+    out[0] += -3.0 * c * v[0]
+    out[1] += 4.0 * c * v[0]
+    out[2] += -c * v[0]
+    out[-1] += 3.0 * c * v[-1]
+    out[-2] += -4.0 * c * v[-1]
+    out[-3] += c * v[-1]
+    return np.moveaxis(out, 0, axis)
+
+
+def _ref_axis_stencil(shape, h, axis, pinned=None):
+    n = shape[axis]
+    sh = (shape[axis],) + tuple(s for a, s in enumerate(shape) if a != axis)
+    c = np.zeros((5,) + sh)
+    w = 1.0 / (2.0 * h)
+    c[1][1:-1] = -w
+    c[3][1:-1] = w
+    c[2][0], c[3][0], c[4][0] = -3.0 * w, 4.0 * w, -w
+    c[2][-1], c[1][-1], c[0][-1] = 3.0 * w, -4.0 * w, w
+    if pinned is not None and pinned.any():
+        P = np.moveaxis(np.asarray(pinned, dtype=bool), axis, 0)
+        idx = np.arange(1, n - 1).reshape((-1,) + (1,) * (P.ndim - 1))
+        here, back, ahead = P[1:-1], P[:-2], P[2:]
+        right = here & back & ~ahead & (idx <= n - 3)
+        left = here & ahead & ~back & (idx >= 2)
+        for band in c:
+            band[1:-1][right] = 0.0
+            band[1:-1][left] = 0.0
+        c[2][1:-1][right], c[3][1:-1][right], c[4][1:-1][right] = -3.0 * w, 4.0 * w, -w
+        c[2][1:-1][left], c[1][1:-1][left], c[0][1:-1][left] = 3.0 * w, -4.0 * w, w
+    return c
+
+
+def _ref_apply_stencil(c, values, axis):
+    v = np.moveaxis(np.asarray(values, dtype=float), axis, 0)
+    n = v.shape[0]
+    out = np.zeros_like(v)
+    for o in (-2, -1, 0, 1, 2):
+        band = c[o + 2]
+        if o >= 0:
+            out[:n - o] += band[:n - o] * v[o:]
+        else:
+            out[-o:] += band[-o:] * v[:n + o]
+    return np.moveaxis(out, 0, axis)
+
+
+def _ref_apply_stencil_adjoint(c, w, axis):
+    v = np.moveaxis(np.asarray(w, dtype=float), axis, 0)
+    n = v.shape[0]
+    out = np.zeros_like(v)
+    for o in (-2, -1, 0, 1, 2):
+        band = c[o + 2]
+        if o >= 0:
+            out[o:] += band[:n - o] * v[:n - o]
+        else:
+            out[:n + o] += band[-o:] * v[-o:]
+    return np.moveaxis(out, 0, axis)
+
+
 def test_banded_stencil_matches_plain_without_pins():
     rng = np.random.default_rng(5)
     u = rng.standard_normal((11, 9))
     for axis, h in ((0, 0.2), (1, 0.15)):
-        c = axis_stencil(u.shape, h, axis)
-        np.testing.assert_allclose(apply_stencil(c, u, axis),
+        c = _ref_axis_stencil(u.shape, h, axis)
+        np.testing.assert_allclose(_ref_apply_stencil(c, u, axis),
                                    d_axis(u, h, axis), rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (3, 7), (9, 7), (12, 10, 8)])
+def test_edge_only_derivatives_are_bitwise_unchanged(shape):
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal(shape)
+    no_pins = np.zeros(shape, dtype=bool)
+    for axis in range(len(shape)):
+        h = 0.1 + 0.07 * axis
+        ref = _ref_d_axis(a, h, axis)
+        ref_adj = _ref_d_axis_adjoint(a, h, axis)
+        for sides in (None, one_sided(shape, axis),
+                      one_sided(shape, axis, no_pins)):
+            assert d_axis(a, h, axis, sides).tobytes() == ref.tobytes()
+            assert (d_axis_adjoint(a, h, axis, sides).tobytes()
+                    == ref_adj.tobytes())
+
+
+def test_one_sided_marks_edges_and_pinned_rim():
+    pinned = np.zeros((7, 2), dtype=bool)
+    pinned[1:3, 0] = True  # rim facing free nodes ahead: node 2 is forward
+    pinned[4:6, 0] = True  # rim facing free nodes behind: node 4 is backward
+    fwd, bwd = one_sided(pinned.shape, 0, pinned)
+    rows = np.arange(14).reshape(7, 2)
+    assert sorted(fwd) == [rows[0, 0], rows[0, 1], rows[2, 0]]
+    assert sorted(bwd) == [rows[4, 0], rows[6, 0], rows[6, 1]]
+    # a one-sided stencil must not reach past the grid edge
+    pinned[:, :] = False
+    pinned[3:6, 1] = True
+    fwd, bwd = one_sided(pinned.shape, 0, pinned)
+    assert sorted(fwd) == [rows[0, 0], rows[0, 1]]
+    assert sorted(bwd) == [rows[3, 1], rows[6, 0], rows[6, 1]]
+    with pytest.raises(ShapeError):
+        one_sided((2, 5), 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(3, 16), st.integers(3, 16), st.sampled_from((0, 1)),
+       st.data())
+def test_one_sided_derivatives_match_banded_reference(nx, ny, axis, data):
+    bits = data.draw(st.lists(st.booleans(), min_size=nx * ny,
+                              max_size=nx * ny))
+    pinned = np.array(bits, dtype=bool).reshape(nx, ny)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    a = rng.standard_normal((nx, ny))
+    b = rng.standard_normal((nx, ny))
+    h = 0.05 + rng.random()
+    sides = one_sided((nx, ny), axis, pinned)
+    c = _ref_axis_stencil((nx, ny), h, axis, pinned)
+    da = d_axis(a, h, axis, sides)
+    ref = _ref_apply_stencil(c, a, axis)
+    assert np.max(np.abs(da - ref)) <= 1e-14 * np.max(np.abs(ref))
+    db = d_axis_adjoint(b, h, axis, sides)
+    ref = _ref_apply_stencil_adjoint(c, b, axis)
+    assert np.max(np.abs(db - ref)) <= 1e-14 * np.max(np.abs(ref))
+    lhs = np.sum(da * b)
+    rhs = np.sum(a * db)
+    assert abs(lhs - rhs) <= 1e-13 * np.sum(np.abs(da * b))
 
 
 def test_pinned_rim_switches_to_one_sided():
@@ -97,9 +232,18 @@ def test_pinned_rim_switches_to_one_sided():
     u = X1 ** 2
     pinned = np.zeros(g.base_shape, dtype=bool)
     pinned[3:6, :] = True
-    c = axis_stencil(g.base_shape, g.dx1, 0, pinned)
+    sides = one_sided(g.base_shape, 0, pinned)
     # one-sided second-order stencils stay exact on quadratics
-    np.testing.assert_allclose(apply_stencil(c, u, 0), 2.0 * X1, atol=1e-11)
+    np.testing.assert_allclose(d_axis(u, g.dx1, 0, sides), 2.0 * X1,
+                               atol=1e-11)
+    # no node reads the block's middle row 4: the rim rows 3 and 5 turn
+    # away from it, which the edge-only stencil does not do
+    bumped = u.copy()
+    bumped[4] += 7.0
+    assert np.array_equal(d_axis(bumped, g.dx1, 0, sides),
+                          d_axis(u, g.dx1, 0, sides))
+    assert not np.array_equal(d_axis(bumped, g.dx1, 0)[[3, 5]],
+                              d_axis(u, g.dx1, 0)[[3, 5]])
 
 
 def test_pinned_adjoint_is_exact_transpose():
@@ -108,22 +252,26 @@ def test_pinned_adjoint_is_exact_transpose():
     a = rng.standard_normal((11, 9))
     b = rng.standard_normal((11, 9))
     for axis, h in ((0, 0.2), (1, 0.15)):
-        c = axis_stencil(a.shape, h, axis, pinned)
-        lhs = np.sum(apply_stencil(c, a, axis) * b)
-        rhs = np.sum(a * apply_stencil_adjoint(c, b, axis))
+        sides = one_sided(a.shape, axis, pinned)
+        lhs = np.sum(d_axis(a, h, axis, sides) * b)
+        rhs = np.sum(a * d_axis_adjoint(b, h, axis, sides))
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
-def test_base_partials_dispatches_on_pin_mask():
+def test_lift_gradient_reads_the_pin_mask():
     g = grid(nx=11, ny=9)
     rng = np.random.default_rng(9)
     u = rng.standard_normal(g.base_shape)
-    plain = base_partials(u, g)
-    np.testing.assert_array_equal(plain[0], d_axis(u, g.dx1, 0))
+    plain = gradient_norm_lift(u, EUCLID, g).values[:, :, 0]
+    du = np.hypot(d_axis(u, g.dx1, 0), d_axis(u, g.dx2, 1))
+    np.testing.assert_allclose(plain, du, rtol=1e-14)
     pinned = np.zeros(g.base_shape, dtype=bool)
     pinned[4:6, 3:5] = True
-    banded = base_partials(u, g, pinned=pinned)
-    assert not np.array_equal(banded[0], plain[0])
+    lift = gradient_norm_lift(ScalarField(u, pinned), EUCLID, g)
+    du = np.hypot(d_axis(u, g.dx1, 0, one_sided(u.shape, 0, pinned)),
+                  d_axis(u, g.dx2, 1, one_sided(u.shape, 1, pinned)))
+    np.testing.assert_allclose(lift.values[:, :, 0], du, rtol=1e-14)
+    assert not np.array_equal(lift.values[:, :, 0], plain)
 
 
 def test_fiber_partial_periodic():

@@ -2,10 +2,13 @@
 
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import finslercap
 from finslercap.bundle import SphereBundleGrid
 from finslercap.capacity import SolverConfig
 from finslercap.cli import main
@@ -49,6 +52,20 @@ tol = 1e-4
 
 
 # -- config ------------------------------------------------------------------
+
+
+def test_readme_configuration_example_loads(tmp_path):
+    with open(os.path.join(os.path.dirname(__file__), os.pardir,
+                           "README.md")) as fh:
+        readme = fh.read()
+    section = readme[readme.index("### Configuration"):]
+    block = section[section.index("```ini\n") + 7:]
+    block = block[:block.index("```")]
+    rc = load_config(write_ini(tmp_path, block))
+    assert rc.metric.kind == "randers"
+    assert (rc.grid.nx, rc.grid.ny, rc.grid.ntheta) == (64, 64, 16)
+    assert rc.solver.tol == 1e-6 and rc.power == 2.0
+    assert rc.invariant is not None and rc.check is not None
 
 
 def test_defaults_from_empty_config():
@@ -483,6 +500,14 @@ points = -0.8,-0.5; 0.9,0.6
 """
 
 
+# expression keys take the number as one of their parameters: (template,
+# further overrides the key needs to be read)
+_EXPRESSION_KEYS = {
+    "check.u": ("gauss:{},0.3,-0.4,1.2",),
+    "metric.sigma": ("const:{}", "metric.kind=conformal"),
+}
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("command, key", [
     ("capacity", "solver.tol"),
@@ -492,12 +517,19 @@ points = -0.8,-0.5; 0.9,0.6
     ("invariant", "invariant.spread"),
     ("invariant", "invariant.offsets"),
     ("selftest", "selftest.tol_homogeneity"),
+    ("check", "check.u"),
+    ("capacity", "metric.sigma"),
 ])
 def test_non_finite_numbers_exit_3(tmp_path, capsys, command, key, value):
     path = write_ini(tmp_path, _ALL_SECTIONS)
-    assert main([command, "--config", path,
-                 "--override", f"{key}={value}"]) == 3
-    assert "is not a finite number" in capsys.readouterr().err
+    template, *setup = _EXPRESSION_KEYS.get(key, ("{}",))
+    overrides = [arg for item in setup for arg in ("--override", item)]
+    assert main([command, "--config", path, *overrides,
+                 "--override", f"{key}={template.format(value)}"]) == 3
+    err = capsys.readouterr().err
+    assert "is not a finite number" in err
+    section, name = key.split(".")
+    assert f"[{section}] {name}" in err
 
 
 def test_usage_errors_exit_3(capsys):
@@ -513,3 +545,14 @@ def test_usage_errors_exit_3(capsys):
 def test_missing_config_path_exits_3(tmp_path, capsys):
     assert main(["capacity", "--config", str(tmp_path / "gone.ini")]) == 3
     assert "not found" in capsys.readouterr().err
+
+
+def test_cli_loads_no_test_or_oracle_tooling():
+    # numpy stays the only runtime dependency
+    code = ("import sys, finslercap.cli; print(sorted({m.split('.')[0] for m"
+            " in sys.modules} & {'numpy', 'scipy', 'hypothesis', 'pytest'}))")
+    src = os.path.dirname(os.path.dirname(finslercap.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "['numpy']"

@@ -30,6 +30,34 @@ data, so each positive density comes out bit for bit as the full
 determinant gives it, and a grid that only needs g^{-1} and the density
 never evaluates N or the third-order jets behind it.
 
+On grid nodes (``node_tensors``) g^{-1} and the density come in closed
+form from the coefficient fields of F = exp(sigma) F_b, F_b = alpha +
+beta, alpha^2 = y^T a y, beta = b . y (b = 0 for Riemannian metrics, and
+also a = I for the euclidean one).  With alpha_hat = a y / alpha, l =
+alpha_hat + b and r = F_b / alpha,
+
+    g_b = r (a - alpha_hat alpha_hat^T) + l l^T,   det g_b = r^3 det a,
+    g^{-1} = exp(-2 sigma) adj(g_b) / det g_b
+
+(Bao-Chern-Shen, An Introduction to Riemann-Finsler Geometry, 2000,
+section 11.1).  In two dimensions, with J y = (-y^2, y^1),
+
+    a - alpha_hat alpha_hat^T = (det a / alpha^2) J y (J y)^T:
+
+both sides annihilate y, and on J y the left side gives a J y - (y^T a
+J y / alpha^2) a y, a multiple of J y (it is orthogonal to y) whose
+factor is det a |y|^2 / alpha^2 by the Gram determinant of (y, J y) in a.
+The wedge above is rho = exp(2 sigma) l x (A v) with A = r (a -
+alpha_hat alpha_hat^T) and v = J y / F_b; on the unit section A v =
+(det a / alpha^3) J y, and u x J y = u . y gives l x J y = alpha + beta =
+F_b, so
+
+    rho = exp(2 sigma) det a F_b / alpha^3,
+
+which is 1 on the flat metric and det a / alpha^2 for Riemannian ones.
+The jet path (``tensor_point`` and ``volume_density``) stays the
+pointwise evaluator and the tests' independent oracle for these forms.
+
 Base-field derivatives take central differences, except at the nodes
 that ``one_sided`` lists: the grid edges and, for a pinned field, the
 pinned rim nodes that face free nodes.  Those take one-sided second-order
@@ -46,8 +74,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import FinslerError, ShapeError
-from .metrics import TensorPoint, tensor_point
+from .errors import FinslerError, InvalidMetricError, ShapeError
+from .metrics import TensorPoint, coefficient_fields, tensor_point
 
 MAX_BASE_NODES = 4096
 MAX_FIBER_NODES = 1024
@@ -307,6 +335,12 @@ def _wedge_term(tp: TensorPoint, j, v):
     return a2
 
 
+def _check_density(rho):
+    if not np.all(rho > 0.0):
+        raise FinslerError("volume density is not positive; metric data is "
+                           "inconsistent at some node")
+
+
 def volume_density(tp: TensorPoint):
     """Coefficient of dx1 wedge dx2 wedge dtheta in the volume element.
 
@@ -322,9 +356,7 @@ def volume_density(tp: TensorPoint):
         raise FinslerError("volume density is implemented for surface bases")
     rho = _wedge_term(tp, 0, -tp.y[..., 1] / tp.F)
     rho += _wedge_term(tp, 1, tp.y[..., 0] / tp.F)
-    if not np.all(rho > 0.0):
-        raise FinslerError("volume density is not positive; metric data is "
-                           "inconsistent at some node")
+    _check_density(rho)
     return rho
 
 
@@ -346,8 +378,9 @@ def sasaki_chart_metric(tp: TensorPoint):
 class NodeTensors:
     """What the energy and the quadrature read at every bundle node.
 
-    g^{-1} and the volume density: 40 bytes per node.  Neither needs the
-    connection, so a miss costs only second-order jets.
+    g^{-1} and the volume density: 40 bytes per node.  Both come from the
+    closed forms of the module docstring, so a miss costs a few dozen
+    elementwise operations per node and no jets.
     """
 
     g_inv: np.ndarray
@@ -355,8 +388,8 @@ class NodeTensors:
 
 
 # node_tensors evaluates this many nodes at a time (whole x1 rows, at least
-# one), so the jets' temporaries stay a few MB and cache-resident however
-# large the grid is; only the three output arrays scale with it
+# one), so the closed forms' temporaries stay a few MB and cache-resident
+# however large the grid is; only the two output arrays scale with it
 _NODES_PER_BLOCK = 1 << 15
 
 
@@ -368,17 +401,65 @@ def _grid_tensor_point(m, grid, rows=slice(None)):
     return tensor_point(m, (X1, X2), (c[None, None, :], s[None, None, :]))
 
 
-@lru_cache(maxsize=6)
+def _fill_block(m, grid, rows, g_inv, rho):
+    """Closed-form g^{-1} and rho over the bundle nodes of the x1 rows
+    ``rows`` (see the module docstring), written into ``g_inv`` and ``rho``.
+
+    The block is laid out fiber-major, (ntheta, base nodes), so that the
+    products of base and fiber fields run along the long axis.  A constant
+    coefficient field stays a scalar, so whatever depends on it and y only
+    is computed once per fiber node rather than once per bundle node.
+    """
+    c, s = (v[:, None] for v in grid.fiber_directions())
+    x1 = grid.x1[rows]
+    (a11, a12, a22), b, sigma = coefficient_fields(
+        m, (np.repeat(x1, grid.ny), np.tile(grid.x2, x1.size)))
+    det_a = a11 * a22 - a12 * a12
+    scale = np.exp(2.0 * sigma)
+    ay1 = a11 * c + a12 * s
+    ay2 = a12 * c + a22 * s
+    alpha2 = ay1 * c + ay2 * s
+    if b is None:
+        # F_b = alpha: g_b = a on the whole fiber
+        g11, det_b = a11, det_a
+        adj = (a22, -a12, a11)
+        dens = 1.0 / alpha2
+    else:
+        inv_alpha = 1.0 / np.sqrt(alpha2)
+        l1 = ay1 * inv_alpha + b[0]
+        l2 = ay2 * inv_alpha + b[1]
+        r = (b[0] * c + b[1] * s) * inv_alpha + 1.0
+        dens = r / alpha2
+        # r (a - a y (a y)^T / alpha^2) = k J y (J y)^T
+        k = dens * det_a
+        det_b = r * r * r * det_a
+        g11 = k * (s * s) + l1 * l1
+        adj = (k * (c * c) + l2 * l2, k * (c * s) - l1 * l2, g11)
+    if not (np.all((scale > 0.0) & (scale < np.inf))
+            and np.all((g11 > 0.0) & (det_b > 0.0))):
+        raise InvalidMetricError("fundamental tensor g(x, y) is not positive "
+                                 "definite")
+    q = 1.0 / (scale * det_b)
+    out = g_inv[rows].reshape(-1, grid.ntheta, 2, 2).swapaxes(0, 1)
+    out[..., 0, 0] = adj[0] * q
+    out[..., 0, 1] = out[..., 1, 0] = adj[1] * q
+    out[..., 1, 1] = adj[2] * q
+    dens = dens * (scale * det_a)
+    _check_density(dens)
+    rho[rows].reshape(-1, grid.ntheta).T[...] = dens
+
+
+@lru_cache(maxsize=1)
 def node_tensors(m, grid):
-    """Evaluate and cache g^{-1} and rho over a whole grid."""
+    """Evaluate and cache g^{-1} and rho over a whole grid.
+
+    One entry is kept: the last (metric, grid) pair asked for.
+    """
     nd = NodeTensors(g_inv=np.empty(grid.shape + (2, 2)),
                      rho=np.empty(grid.shape))
     step = max(1, _NODES_PER_BLOCK // (grid.ny * grid.ntheta))
     for lo in range(0, grid.nx, step):
-        rows = slice(lo, lo + step)
-        tp = _grid_tensor_point(m, grid, rows)
-        nd.g_inv[rows] = tp.g_inv
-        nd.rho[rows] = volume_density(tp)
+        _fill_block(m, grid, slice(lo, lo + step), nd.g_inv, nd.rho)
     return nd
 
 

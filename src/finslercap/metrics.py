@@ -174,14 +174,15 @@ def _comps(v, n, what):
 
 
 def _numeric_matrix(a, x):
+    """a(x) with the batch shape of its entries: (n, n) where all are
+    constant, so a constant field is evaluated and checked once."""
     n = len(a)
-    batch = np.broadcast_shapes(*(np.shape(c) for c in x))
+    vals = {(i, j): a[i][j](x) for i in range(n) for j in range(i, n)}
+    batch = np.broadcast_shapes(*map(np.shape, vals.values()))
     out = np.empty(batch + (n, n))
-    for i in range(n):
-        for j in range(i, n):
-            v = a[i][j](x)
-            out[..., i, j] = v
-            out[..., j, i] = v
+    for (i, j), v in vals.items():
+        out[..., i, j] = v
+        out[..., j, i] = v
     return out
 
 
@@ -212,18 +213,53 @@ def _randers_norm2(amat, b):
                      np.linalg.solve(amat, bvec[..., None])[..., 0], bvec)
 
 
+def _checked_coefficients(m, x):
+    """a(x) as a matrix and b(x) as a component list, or None where the
+    metric's innermost layer has none, after the validity checks."""
+    if m.kind == "conformal":
+        return _checked_coefficients(m.base, x)
+    if m.kind not in ("riemannian", "randers"):
+        return None, None
+    amat = _numeric_matrix(m.a, x)
+    _assert_spd(amat, "riemannian coefficient matrix a(x)")
+    if m.kind == "riemannian":
+        return amat, None
+    b = [bi(x) for bi in m.b]
+    if not np.all(_randers_norm2(amat, b) < 1.0):
+        raise InvalidMetricError(
+            "randers drift has a-norm >= 1 somewhere on the queried points")
+    return amat, b
+
+
 def validate_at(m, x):
     """Check catalog validity conditions at numeric base points."""
-    if m.kind in ("riemannian", "randers"):
-        amat = _numeric_matrix(m.a, x)
-        _assert_spd(amat, "riemannian coefficient matrix a(x)")
-        if m.kind == "randers":
-            norm2 = _randers_norm2(amat, [bi(x) for bi in m.b])
-            if not np.all(norm2 < 1.0):
-                raise InvalidMetricError(
-                    "randers drift has a-norm >= 1 somewhere on the queried points")
-    elif m.kind == "conformal":
-        validate_at(m.base, x)
+    _checked_coefficients(m, x)
+
+
+def coefficient_fields(m, x):
+    """Coefficient fields of a surface metric at numeric base points.
+
+    Every catalog metric reads F = exp(sigma) (sqrt(a_ij y^i y^j) + b_i y^i).
+    Returns (a, b, sigma): a as its entries (a_11, a_12, a_22), b as
+    (b_1, b_2) or None for a metric without drift, and sigma summed over
+    the conformal layers (0.0 without one).  Each field is evaluated once
+    and keeps the shape it evaluates to, so a constant one stays a scalar.
+    The points are checked as :func:`validate_at` checks them.
+    """
+    xc = _comps(x, m.dim, "x")
+    if m.dim != 2:
+        raise InvalidMetricError("coefficient fields are implemented for "
+                                 "surface bases")
+    amat, b = _checked_coefficients(m, xc)
+    sigma = 0.0
+    while m.kind == "conformal":
+        sigma = sigma + m.sigma(xc)
+        m = m.base
+    if m.kind == "euclidean":
+        return (1.0, 0.0, 1.0), None, sigma
+    if amat is None:
+        raise InvalidMetricError(f"unknown metric kind {m.kind!r}")
+    return (amat[..., 0, 0], amat[..., 0, 1], amat[..., 1, 1]), b, sigma
 
 
 def _check_direction(y):

@@ -135,6 +135,35 @@ def total_volume(tol, n=16, ntheta=16):
     return CheckReport("total_volume", n * n * ntheta, err, tol, err <= tol)
 
 
+def _alpha_area(m, x):
+    """exp(2 sigma) sqrt(det a), from the catalog's coefficient fields."""
+    if m.kind == "conformal":
+        return np.exp(2.0 * m.sigma(x)) * _alpha_area(m.base, x)
+    if m.kind == "euclidean":
+        return 1.0
+    (a11, a12), (_, a22) = m.a
+    return np.sqrt(a11(x) * a22(x) - a12(x) ** 2)
+
+
+def fiber_volume(tol, n=16, ntheta=64):
+    """sum_theta rho dtheta = 2 pi exp(2 sigma) sqrt(det a) at every base
+    node of DOMAIN, over the catalog: the Holmes-Thompson area of a Randers
+    metric is the Riemannian area of alpha (Alvarez Paiva-Thompson,
+    Volumes on normed and Finsler spaces, 2004).  The error is the worst
+    relative one."""
+    x1min, x2min, x1max, x2max = DOMAIN
+    grid = SphereBundleGrid(x1min, x1max, x2min, x2max, nx=n, ny=n,
+                            ntheta=ntheta)
+    X1, X2 = grid.base_mesh()
+    worst = 0.0
+    for m in CATALOG:
+        area = node_tensors(m, grid).rho.sum(axis=2) * grid.dtheta
+        exact = 2.0 * math.pi * _alpha_area(m, (X1, X2))
+        worst = max(worst, float(np.max(np.abs(area / exact - 1.0))))
+    return CheckReport("fiber_volume", len(CATALOG) * n * n, worst, tol,
+                       worst <= tol)
+
+
 def _worst_of(name, reports, tol):
     worst = max(r.max_rel_err for r in reports)
     return CheckReport(name, sum(r.samples for r in reports), worst, tol,
@@ -201,6 +230,7 @@ CHECKS = {
     "exterior_derivative": (exterior_derivative, 1e-4),
     "flat_density": (flat_density, 1e-10),
     "total_volume": (total_volume, 1e-3),
+    "fiber_volume": (fiber_volume, 1e-12),
     "pullback_volume": (pullback_volume, 1e-6),
     "pullback_energy_density": (pullback_energy_density, 1e-8),
     "energy_gradient": (energy_gradient, 1e-5),

@@ -32,7 +32,7 @@ from finslercap.metrics import (cartan_tensor, eval_F, formal_christoffel,
                                 fundamental_tensor, randers)
 from finslercap.selftest import (CONF, DOMAIN, EUCLID, RAND, annulus_capacity,
                                  energy_gradient, exterior_derivative,
-                                 flat_density, homogeneity,
+                                 fiber_volume, flat_density, homogeneity,
                                  pullback_energy_density, pullback_volume,
                                  total_volume)
 from finslercap.shapes import disk, disk_complement
@@ -140,10 +140,13 @@ def test_03_flat_density_and_total_volume():
     t0 = time.perf_counter()
     dens = flat_density(1e-10, n=32, ntheta=32)
     vol = total_volume(1e-3, n=32, ntheta=32)
+    fiber = fiber_volume(1e-12, n=32, ntheta=64)
     _criterion("03 flat density / total volume", 5.0,
-               dens.passed and vol.passed, time.perf_counter() - t0,
+               dens.passed and vol.passed and fiber.passed,
+               time.perf_counter() - t0,
                f"max|rho-1| {dens.max_rel_err:.1e}, "
-               f"volume rel {vol.max_rel_err:.1e}")
+               f"volume rel {vol.max_rel_err:.1e}, "
+               f"fiber volume rel {fiber.max_rel_err:.1e}")
 
 
 # -- 4: exterior derivative of the contact form -------------------------------

@@ -369,6 +369,13 @@ def test_node_tensors_cached():
     assert node_tensors(EUCLID, g) is node_tensors(EUCLID, g)
 
 
+def test_node_tensors_keep_one_entry():
+    node_tensors(EUCLID, grid())
+    node_tensors(RANDERS, grid(nx=9))
+    info = node_tensors.cache_info()
+    assert info.maxsize == 1 and info.currsize == 1
+
+
 def test_sasaki_chart_metric_flat_is_identity():
     tp = tensor_point(EUCLID, (0.1, 0.2), (math.cos(0.8), math.sin(0.8)))
     np.testing.assert_allclose(sasaki_chart_metric(tp), np.eye(3), atol=1e-14)

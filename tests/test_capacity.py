@@ -12,9 +12,9 @@ from finslercap.capacity import (CondenserSpec, EnergyFunctional, SolverConfig,
                                  is_monotone, minimize, oscillation,
                                  rasterize_condenser)
 from finslercap.errors import ShapeError
-from finslercap.exprs import const, sinusoid
+from finslercap.exprs import const, exponential, linear, sinusoid
 from finslercap.metrics import (conformal_wrap, euclidean,
-                                identity_matrix_field, randers)
+                                identity_matrix_field, randers, riemannian)
 from finslercap.shapes import (disk, disk_complement, mapped, outer_boundary,
                                point_blob, polyline, rect_complement,
                                rectangle, segment)
@@ -116,6 +116,87 @@ def test_energy_matches_lifted_norm_integral():
         direct = energy(vals, m, g)
         norm = gradient_norm_lift(vals, m, g).values
         assert direct == pytest.approx(integrate(norm ** 2, m, g), rel=1e-12)
+
+
+_FOLD_A = ((exponential(1.0, (0.3, 0.1)), const(0.1)),
+           (const(0.1), const(1.2)))
+_FOLD_METRICS = {
+    "riemannian": riemannian(((exponential(1.0, (0.6, -0.2)), const(0.2)),
+                              (const(0.2), const(1.3)))),
+    # |b|_a = 0.7 exactly: b = 0.7 L e for a = L L^T and a unit e
+    "randers": randers(((const(1.3), const(-0.3)), (const(-0.3), const(0.9))),
+                       tuple(const(0.7 * v) for v in np.linalg.cholesky(
+                           [[1.3, -0.3], [-0.3, 0.9]]) @ (0.6, 0.8))),
+    "conformal-randers": conformal_wrap(
+        randers(_FOLD_A, (linear(0.45, 0.1, 0.0), const(-0.2))),
+        sinusoid(0.3, (1.0, 0.7), 0.4)),
+}
+
+
+def _fold_closed_form(m, X1, X2):
+    """M(x) from the catalog's coefficient fields alone."""
+    while m.kind == "conformal":
+        m = m.base
+    shape = X1.shape
+    a = np.empty(shape + (2, 2))
+    for i in range(2):
+        for j in range(2):
+            a[..., i, j] = m.a[i][j]((X1, X2))
+    b = np.zeros(shape + (2,))
+    if m.b is not None:
+        for i in range(2):
+            b[..., i] = m.b[i]((X1, X2))
+    w, V = np.linalg.eigh(a)
+    a_mhalf = V @ (V / np.sqrt(w)[..., None, :]).swapaxes(-1, -2)
+    bt = np.einsum("...ij,...j->...i", a_mhalf, b)
+    k2 = np.sum(bt * bt, axis=-1)
+    assert float(np.max(k2)) <= 0.7 ** 2 * (1.0 + 1e-12)
+    s = np.sqrt(1.0 - k2)[..., None, None]
+    P = (bt[..., :, None] * bt[..., None, :]
+         / np.maximum(k2, 1e-300)[..., None, None])
+    inner = 4.0 * np.pi / (1.0 + s) * ((np.eye(2) - P) + P / s)
+    return (np.sqrt(np.linalg.det(a))[..., None, None]
+            * (a_mhalf @ inner @ a_mhalf))
+
+
+@pytest.mark.parametrize("name", sorted(_FOLD_METRICS))
+def test_p2_fiber_fold_matches_its_closed_form(name):
+    """The p = 2 energy reads M = sum_theta rho g^{-1} dtheta, which is
+    base_form / (dx1 dx2).  With s = sqrt(1 - |b|_a^2), b~ = a^(-1/2) b and
+    P = b~ b~^T / |b~|^2,
+
+        M = sqrt(det a) a^(-1/2) [4 pi / (1 + s) ((I - P) + P / s)] a^(-1/2).
+
+    Derivation.  By the closed forms of the bundle module (det g_b = r^3
+    det a, rho = exp(2 sigma) det a r / alpha^2), rho g^{-1} =
+    adj(g_b) / F_b^2, so sigma drops out: the p = n = 2 invariance.  The
+    form adj(g_b(y)) / F_b(y)^2 (y x dy) does not change under y -> t y,
+    so the integral may run over any loop around 0.  With y = T z, T =
+    a^(-1/2): F_b(T z) = |z| + b~ . z =: F~(z), g~ = T^T g_b T, adj(g_b) =
+    T adj(g~) T^T / det(T)^2 and y x dy = det T (z x dz), so M =
+    sqrt(det a) T M~ T with M~ the integral for F~.  Rotate b~ to k e_1,
+    k = |b~| = |b|_a, and put z = (cos phi, sin phi) =: (c, s'): then
+    l = z + k e_1, r = F~ = 1 + k c and
+
+        adj(g~) = [[1 + k c^3,  -k s'^3],
+                   [-k s'^3,    1 + k^2 + 2 k c + k c s'^2]].
+
+    The off-diagonal entry is odd in phi and integrates to 0.  With
+    u = 1 + k c and I_n = integral of u^(-n) dphi, I_1 = 2 pi / s and
+    I_2 = 2 pi / s^3.  Writing c = (u - 1) / k, M~_11 = I_2 + (3 I_1 - I_2
+    - 4 pi) / k^2 = 4 pi / (s (1 + s)) and M~_11 + M~_22 = 3 I_1 - s^2 I_2
+    = 4 pi / s, so M~_22 = 4 pi / (1 + s).  For b = 0 this is
+    2 pi sqrt(det a) a^(-1).  The oracle reads the coefficient fields
+    directly and calls neither node_tensors nor tensor_point; the
+    midpoint rule in theta converges spectrally, so 256 fiber nodes
+    reproduce the integral to rounding for |b|_a <= 0.7.
+    """
+    m = _FOLD_METRICS[name]
+    g = SphereBundleGrid(-1.0, 1.0, -0.8, 0.9, nx=5, ny=4, ntheta=256)
+    M = EnergyFunctional(m, g, 2.0).base_form / (g.dx1 * g.dx2)
+    exact = _fold_closed_form(m, *g.base_mesh())
+    err = np.max(np.abs(M - exact), axis=(-2, -1))
+    assert float(np.max(err / np.max(np.abs(exact), axis=(-2, -1)))) <= 1e-13
 
 
 def test_energy_gradient_matches_finite_differences():

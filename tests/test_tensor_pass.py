@@ -2,22 +2,26 @@
 
 ``tensor_point`` evaluates F, l, g and g^{-1} from second-order y-jets and
 leaves C, dg/dx, gamma and N to first access; ``node_tensors`` keeps only
-g^{-1} and rho.  The reference below evaluates every tensor eagerly,
-with third-order duals over all variables, ``numpy.linalg.inv`` and the
-full 3x3 volume wedge with the connection entries kept.
+g^{-1} and rho, from closed forms that the last section checks against
+the jets.  The reference below evaluates every tensor eagerly, with
+third-order duals over all variables, ``numpy.linalg.inv`` and the full
+3x3 volume wedge with the connection entries kept.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finslercap import bundle, metrics
 from finslercap.bundle import (SphereBundleGrid, d_omega_matrix, node_tensors,
                                volume_density)
 from finslercap.dual import diff
-from finslercap.errors import FinslerError
-from finslercap.exprs import const, exponential, sinusoid
+from finslercap.errors import FinslerError, InvalidMetricError
+from finslercap.exprs import const, expr_sum, exponential, gaussian, sinusoid
 from finslercap.metrics import (conformal_wrap, euclidean,
                                 identity_matrix_field, randers, riemannian,
                                 tensor_point)
@@ -185,3 +189,118 @@ def test_node_tensors_hold_48_bytes_per_node():
     nd = node_tensors(SPECS["conformal-randers"], g)
     total = sum(getattr(nd, f.name).nbytes for f in dataclasses.fields(nd))
     assert total <= 48 * g.nx * g.ny * g.ntheta
+
+
+# -- the closed-form node path against the jets -----------------------------
+
+def _spd(lam, cond, t):
+    """R(t) diag(lam, lam cond) R(t)^T."""
+    c, s = math.cos(t), math.sin(t)
+    l0, l1 = lam, lam * cond
+    return np.array([[l0 * c * c + l1 * s * s, (l0 - l1) * c * s],
+                     [(l0 - l1) * c * s, l0 * s * s + l1 * c * c]])
+
+
+def _const_matrix(a):
+    a01 = const(a[0, 1])
+    return ((const(a[0, 0]), a01), (a01, const(a[1, 1])))
+
+
+def _drift(a, size, phi):
+    """Covector along angle phi with a-norm ``size``."""
+    d = np.array([math.cos(phi), math.sin(phi)])
+    return d * size / math.sqrt(d @ np.linalg.solve(a, d))
+
+
+def _max_condition(g):
+    tr = g[..., 0, 0] + g[..., 1, 1]
+    det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] ** 2
+    gap = np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))
+    return float(np.max((tr + gap) / (tr - gap)))
+
+
+_ANGLE = st.floats(0.0, 2.0 * math.pi)
+_METRICS = st.tuples(
+    st.floats(0.1, 10.0), st.floats(1.0, 100.0), _ANGLE,
+    st.one_of(st.none(), st.tuples(st.floats(0.0, 0.95), _ANGLE)),
+    st.one_of(st.floats(-1.0, 1.0).map(const),
+              st.builds(sinusoid, st.floats(0.0, 0.5),
+                        st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+                        _ANGLE)))
+_GRIDS = st.tuples(st.floats(-2.0, 1.0), st.floats(-2.0, 1.0),
+                   st.floats(0.5, 3.0), st.floats(0.5, 3.0),
+                   st.integers(3, 12), st.integers(3, 12), st.integers(8, 32))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_METRICS, _GRIDS)
+def test_closed_form_node_tensors_match_the_jets(metric, box):
+    """Constant a with condition number up to 100, |b|_a up to 0.95 or no
+    drift, a constant or sinusoidal conformal factor.  Both paths round at
+    about eps times the condition number of g, and at cond a = 100,
+    |b|_a = 0.95 the jets alone are up to 1e-13 off an extended-precision
+    evaluation, so the bound is 1e-14 of the max-norm, widened in
+    proportion to that condition number where it exceeds 5."""
+    lam, cond, t, drift, sigma = metric
+    a = _spd(lam, cond, t)
+    if drift is None:
+        base = riemannian(_const_matrix(a))
+    else:
+        base = randers(_const_matrix(a),
+                       tuple(const(v) for v in _drift(a, *drift)))
+    m = conformal_wrap(base, sigma)
+    x1, x2, w1, w2, nx, ny, ntheta = box
+    g = SphereBundleGrid(x1, x1 + w1, x2, x2 + w2, nx=nx, ny=ny,
+                         ntheta=ntheta)
+    nd = node_tensors.__wrapped__(m, g)
+    tp = bundle._grid_tensor_point(m, g)
+    tol = max(1e-14, 2e-15 * _max_condition(tp.g))
+    for got, ref in ((nd.g_inv, tp.g_inv), (nd.rho, volume_density(tp))):
+        scale = float(np.max(np.abs(ref)))
+        assert float(np.max(np.abs(got - ref))) <= tol * scale
+
+
+_SMALL = SphereBundleGrid(-1.0, 1.0, -1.0, 1.0, nx=5, ny=4, ntheta=8)
+_NODE = (_SMALL.x1[2], _SMALL.x2[1])
+
+
+def _same_rejection(m, error=InvalidMetricError):
+    """node_tensors raises what the jet path raises, with its message."""
+    with pytest.raises(error) as closed:
+        node_tensors.__wrapped__(m, _SMALL)
+    with pytest.raises(error) as jets:
+        bundle._grid_tensor_point(m, _SMALL)
+    assert str(closed.value) == str(jets.value)
+
+
+def test_node_tensors_reject_a_unit_drift_at_one_node():
+    a = _spd(0.7, 30.0, 0.4)
+    coeffs = _const_matrix(a)
+    bump = lambda size: randers(coeffs, tuple(
+        gaussian(v, _NODE, 1.0) for v in _drift(a, size, 1.1)))
+    node_tensors.__wrapped__(bump(1.0 - 1e-9), _SMALL)
+    _same_rejection(bump(1.0 + 1e-9))
+
+
+def test_node_tensors_reject_an_indefinite_coefficient_matrix():
+    dip = expr_sum(const(1.0), gaussian(-1.5, _NODE, 0.05))
+    _same_rejection(riemannian(((dip, const(0.2)), (const(0.2), const(1.3)))))
+    _same_rejection(riemannian(((const(1.0), const(1.2)),
+                                (const(1.2), const(1.0)))))
+
+
+@pytest.mark.parametrize("field", ["sigma", "a", "b"])
+def test_node_tensors_reject_nan_like_the_jets(field):
+    nan = const(float("nan"))
+    one, zero = const(1.0), const(0.0)
+    if field == "sigma":
+        m = conformal_wrap(SPECS["randers"], nan)
+    elif field == "a":
+        m = riemannian(((one, zero), (zero, nan)))
+    else:
+        m = randers(identity_matrix_field(), (const(0.2), nan))
+    _same_rejection(m)
+
+
+def test_node_tensors_need_a_surface_metric():
+    _same_rejection(euclidean(dim=3), FinslerError)

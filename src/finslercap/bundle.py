@@ -5,16 +5,16 @@ fiber circle by ntheta equispaced angles, giving the chart (x1, x2, theta)
 with the unit section y(theta) = (cos theta, sin theta).  Quadrature is the
 midpoint rule with weight dx1 * dx2 * dtheta per node.
 
-Form conventions on the chart.  With l_i = g_ij y^j / F the Hilbert form is
-omega = l_i dx^i.  Its differential satisfies
+Form conventions on the chart.  With l_i = g_ij y^j / F (``tensor_point``'s
+``l_down``) the Hilbert form is omega = l_i dx^i.  Its differential satisfies
 
     d omega = -(g_ij - l_i l_j) dx^i wedge (dy^j + N^j_k dx^k) / F
 
-and the bundle volume element is eta = -omega wedge d omega for a surface
-base, normalized so the flat metric has density one.  The density at a node
-is the dx1 wedge dx2 wedge dtheta coefficient of that product: for each j
-the 3x3 determinant of the chart rows of omega, of the angular-metric row
-A_ij dx^i of d omega and of the vertical coframe row delta y^j / F, summed
+and the bundle volume element is eta = -omega wedge d omega, normalized
+so the flat metric has density one.  The density at a node is the dx1
+wedge dx2 wedge dtheta coefficient of that product: for each j the 3x3
+determinant of the chart rows of omega, of the angular-metric row A_ij
+dx^i of d omega and of the vertical coframe row delta y^j / F, summed
 over j.  It is built from g, l, y and F alone, for every metric.
 
 The connection does not enter the density.  omega = l_i dx^i and the
@@ -77,7 +77,10 @@ import numpy as np
 from .errors import FinslerError, InvalidMetricError, ShapeError
 from .metrics import TensorPoint, coefficient_fields, tensor_point
 
+# accepted grid resolutions, per base axis and on the fiber circle
+MIN_BASE_NODES = 3
 MAX_BASE_NODES = 4096
+MIN_FIBER_NODES = 8
 MAX_FIBER_NODES = 1024
 
 
@@ -96,10 +99,13 @@ class SphereBundleGrid:
     def __post_init__(self):
         if not (self.x1max > self.x1min and self.x2max > self.x2min):
             raise ShapeError("grid rectangle has empty extent")
-        if not (3 <= self.nx <= MAX_BASE_NODES and 3 <= self.ny <= MAX_BASE_NODES):
-            raise ShapeError("base resolution must lie in [3, 4096]")
-        if not (8 <= self.ntheta <= MAX_FIBER_NODES):
-            raise ShapeError("fiber resolution must lie in [8, 1024]")
+        if not (MIN_BASE_NODES <= self.nx <= MAX_BASE_NODES
+                and MIN_BASE_NODES <= self.ny <= MAX_BASE_NODES):
+            raise ShapeError(f"base resolution must lie in [{MIN_BASE_NODES}, "
+                             f"{MAX_BASE_NODES}]")
+        if not MIN_FIBER_NODES <= self.ntheta <= MAX_FIBER_NODES:
+            raise ShapeError(f"fiber resolution must lie in [{MIN_FIBER_NODES}"
+                             f", {MAX_FIBER_NODES}]")
 
     @property
     def dx1(self):
@@ -183,14 +189,6 @@ class BundleField:
 
 def _values(u):
     return np.asarray(getattr(u, "values", u), dtype=float)
-
-
-def vertical_lift(u, grid):
-    """Constant-in-theta extension of a base field to the bundle."""
-    vals = _values(u)
-    if vals.shape != grid.base_shape:
-        raise ShapeError("field shape differs from grid base shape")
-    return BundleField(np.repeat(vals[:, :, None], grid.ntheta, axis=2))
 
 
 # -- stencils -----------------------------------------------------------------
@@ -282,18 +280,13 @@ def fiber_partial(values, grid):
 
 # -- pointwise forms ----------------------------------------------------------
 
-def hilbert_form(tp: TensorPoint):
-    """Chart components l_i of the contact form omega = l_i dx^i."""
-    return tp.l_down
-
-
 def d_omega_matrix(tp: TensorPoint):
     """Angular metric A_ij = g_ij - l_i l_j appearing in d omega."""
     return tp.g - tp.l_down[..., :, None] * tp.l_down[..., None, :]
 
 
 def d_omega_chart(tp: TensorPoint):
-    """Chart matrix of d omega on (x1, x2, theta); surface base only.
+    """Chart matrix of d omega on (x1, x2, theta).
 
     Expands -A_ij dx^i wedge (delta y^j / F) into the antisymmetric
     component matrix (d omega)_{ab}; finite differences of the contact
@@ -307,14 +300,11 @@ def d_omega_chart(tp: TensorPoint):
 
 
 def _vertical_coframe(tp: TensorPoint):
-    """Chart components of delta y^j / F, one row per j; surface base only.
+    """Chart components of delta y^j / F, one row per j.
 
     The dx columns hold N^j_k / F.  On the unit section dy^j =
     (dy^j/dtheta) dtheta, so the fiber part fills the dtheta column.
     """
-    if tp.dim != 2:
-        raise FinslerError("chart expansion of the vertical coframe needs a "
-                           "2-dimensional base")
     rows = np.empty(tp.F.shape + (2, 3))
     rows[..., :, :2] = tp.nonlin_scaled
     rows[..., 0, 2] = -tp.y[..., 1] / tp.F
@@ -352,24 +342,10 @@ def volume_density(tp: TensorPoint):
     (see the module docstring), so the connection is never evaluated.  The
     orientation makes the flat metric give density one.
     """
-    if tp.dim != 2:
-        raise FinslerError("volume density is implemented for surface bases")
     rho = _wedge_term(tp, 0, -tp.y[..., 1] / tp.F)
     rho += _wedge_term(tp, 1, tp.y[..., 0] / tp.F)
     _check_density(rho)
     return rho
-
-
-def sasaki_chart_metric(tp: TensorPoint):
-    """Bundle metric as a 3x3 matrix on the chart (x1, x2, theta)."""
-    if tp.dim != 2:
-        raise FinslerError("chart form of the bundle metric needs a surface base")
-    vert = _vertical_coframe(tp)
-    batch = tp.F.shape
-    G = np.zeros(batch + (3, 3))
-    G[..., :2, :2] = tp.g
-    G += np.einsum("...ij,...ia,...jb->...ab", tp.g, vert, vert)
-    return G
 
 
 # -- grid-level tensor data ----------------------------------------------------

@@ -2,7 +2,7 @@
 
 The discrete energy of an admissible base field u is the quadrature of
 |grad u^V|^p against the bundle volume density, with p equal to the base
-dimension (p = 2 here, though the functional accepts any p > 1).  Plates
+dimension, 2, by default (the functional accepts any p > 1).  Plates
 are rasterized shapes pinned to 0 (outer plate) and 1 (inner plate).  The
 base partials are central differences, except on the grid edges and on
 the pinned rim nodes that face free nodes, which differentiate one-sidedly
@@ -208,20 +208,16 @@ class EnergyFunctional:
         return H
 
 
-def energy(u, m, grid, power=None, region=None):
-    """Discrete p-energy of the vertical lift of u (p defaults to the dimension)."""
-    if power is None:
-        power = float(m.dim)
+def energy(u, m, grid, power=2.0, region=None):
+    """Discrete p-energy of the vertical lift of u."""
     vals = np.asarray(getattr(u, "values", u), dtype=float)
     func = EnergyFunctional(m, grid, power=power, region=region,
                             pinned=getattr(u, "pinned", None))
     return func.value(vals)
 
 
-def energy_gradient(u, m, grid, power=None, region=None):
+def energy_gradient(u, m, grid, power=2.0, region=None):
     """Exact gradient of the discrete energy; zero at pinned nodes."""
-    if power is None:
-        power = float(m.dim)
     vals = np.asarray(getattr(u, "values", u), dtype=float)
     pinned = getattr(u, "pinned", None)
     func = EnergyFunctional(m, grid, power=power, region=region, pinned=pinned)
@@ -275,7 +271,7 @@ def rasterize_condenser(cond, grid):
     return m0, m1
 
 
-def minimize(cond, m, grid, cfg=SolverConfig(), power=None, region=None):
+def minimize(cond, m, grid, cfg=SolverConfig(), power=2.0, region=None):
     """Capacity of a condenser: minimal discrete energy over admissible fields.
 
     Returns value +inf immediately when the rasterized plates share a node
@@ -283,8 +279,6 @@ def minimize(cond, m, grid, cfg=SolverConfig(), power=None, region=None):
     when plates are disjoint but separated by fewer than two cells, since
     no free transition layer exists at this resolution.
     """
-    if power is None:
-        power = float(m.dim)
     m0, m1 = rasterize_condenser(cond, grid)
     pinned = m0 | m1
     pin_vals = np.where(m1, 1.0, 0.0)
@@ -483,7 +477,7 @@ def _projected_gradient(func, u, pinned, pin_vals, cfg, max_iter):
     return u, E, history, it, res, converged
 
 
-def cap_compact(C, m, grid, cfg=SolverConfig(), power=None):
+def cap_compact(C, m, grid, cfg=SolverConfig(), power=2.0):
     """Capacity of a compact set against the truncation boundary.
 
     Pins the grid's outer node ring to 0 and C to 1.  The result depends on
@@ -500,69 +494,3 @@ def cap_compact(C, m, grid, cfg=SolverConfig(), power=None):
     except ShapeError as exc:
         raise ShapeError(f"compact set interacts with the truncation "
                          f"boundary: {exc}") from exc
-
-
-def oscillation(u, S, grid):
-    """max - min of a base field over the rasterized nodes of S."""
-    vals = np.asarray(getattr(u, "values", u), dtype=float)
-    mask = S.rasterize(grid)
-    if not mask.any():
-        raise ShapeError("shape rasterizes to no node on this grid")
-    picked = vals[mask]
-    return float(picked.max() - picked.min())
-
-
-def is_monotone(u, grid, tol=1e-12, free=None):
-    """Check that sup and inf over every sub-rectangle sit on its boundary.
-
-    Scans all index sub-rectangles with nonempty interior.  When ``free``
-    is given (boolean base mask), rectangles whose interior meets an
-    excluded node are skipped: a minimizer is only expected to be monotone
-    away from the plates that pin it.  Returns (True, None) or
-    (False, witness) where the witness records the first offending
-    rectangle as index bounds (i1, i2, j1, j2) and which extremum failed.
-    Quadratic-in-area cost; intended for moderate grids.
-    """
-    vals = np.asarray(getattr(u, "values", u), dtype=float)
-    H, W = vals.shape
-    if free is None:
-        excl = np.zeros((H, W), dtype=bool)
-    else:
-        excl = ~np.asarray(free, dtype=bool)
-        if excl.shape != vals.shape:
-            raise ShapeError("free mask shape does not match the field")
-    for j1 in range(W - 2):
-        colmax = vals[:, j1].copy()
-        colmin = vals[:, j1].copy()
-        intmax = np.full(H, -np.inf)
-        intmin = np.full(H, np.inf)
-        intexcl = np.zeros(H, dtype=bool)
-        for j2 in range(j1 + 2, W):
-            colmax = np.maximum(colmax, vals[:, j2 - 1])
-            colmin = np.minimum(colmin, vals[:, j2 - 1])
-            intmax = np.maximum(intmax, vals[:, j2 - 1])
-            intmin = np.minimum(intmin, vals[:, j2 - 1])
-            intexcl |= excl[:, j2 - 1]
-            cmax = np.maximum(colmax, vals[:, j2])
-            cmin = np.minimum(colmin, vals[:, j2])
-            edgemax = np.maximum(vals[:, j1], vals[:, j2])
-            edgemin = np.minimum(vals[:, j1], vals[:, j2])
-            for i1 in range(H - 2):
-                keep = ~np.logical_or.accumulate(intexcl[i1 + 1:H - 1])
-                run_int_max = np.maximum.accumulate(intmax[i1 + 1:H - 1])
-                run_edge_max = np.maximum.accumulate(edgemax[i1 + 1:H - 1])
-                bound = np.maximum(np.maximum(cmax[i1], cmax[i1 + 2:]),
-                                   run_edge_max)
-                bad = (run_int_max > bound + tol) & keep
-                if bad.any():
-                    i2 = i1 + 2 + int(np.argmax(bad))
-                    return False, {"rect": (i1, i2, j1, j2), "extremum": "max"}
-                run_int_min = np.minimum.accumulate(intmin[i1 + 1:H - 1])
-                run_edge_min = np.minimum.accumulate(edgemin[i1 + 1:H - 1])
-                bound = np.minimum(np.minimum(cmin[i1], cmin[i1 + 2:]),
-                                   run_edge_min)
-                bad = (run_int_min < bound - tol) & keep
-                if bad.any():
-                    i2 = i1 + 2 + int(np.argmax(bad))
-                    return False, {"rect": (i1, i2, j1, j2), "extremum": "min"}
-    return True, None

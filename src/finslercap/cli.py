@@ -9,6 +9,7 @@ check failed, 2 the solver did not converge, 3 bad input.
 """
 
 import argparse
+import math
 import os
 import sys
 
@@ -93,16 +94,20 @@ def cmd_tensors(args):
     except ValueError:
         raise ConfigError(f"--x must be two comma-separated numbers, "
                           f"got {args.x!r}")
-    if len(x) != rc.metric.dim:
-        raise ConfigError(f"--x needs {rc.metric.dim} coordinates")
+    if len(x) != 2:
+        raise ConfigError("--x needs 2 coordinates")
+    if not all(map(math.isfinite, x)):
+        raise ConfigError(f"--x: {args.x!r} is not a pair of finite numbers")
+    if not math.isfinite(args.theta):
+        raise ConfigError(f"--theta: {args.theta!r} is not a finite number")
     y = (np.cos(args.theta), np.sin(args.theta))
     tp = tensor_point(rc.metric, x, y)
     print(f"F: {format_number(tp.F)}")
     _print_matrix("g", tp.g)
     _print_matrix("g_inv", tp.g_inv)
-    for i in range(tp.dim):
+    for i in range(2):
         _print_matrix(f"C {i}", tp.cartan[i])
-    for i in range(tp.dim):
+    for i in range(2):
         _print_matrix(f"gamma {i}", tp.gamma[i])
     _print_matrix("N", tp.nonlin)
     print(f"rho: {format_number(volume_density(tp))}")
@@ -120,7 +125,7 @@ def cmd_capacity(args):
         ("converged", res.converged),
         ("iterations", res.iterations),
         ("residual", res.final_gradient_norm),
-        ("power", rc.power if rc.power is not None else rc.metric.dim),
+        ("power", rc.power),
         ("nx", rc.grid.nx), ("ny", rc.grid.ny), ("ntheta", rc.grid.ntheta),
     ]
     for key, value in rows:

@@ -2,21 +2,24 @@
 
 Configs are flat sectioned key=value files (bracketed section headers,
 one ``key = value`` per line, ``#`` comments) parsed with the standard
-library.  Sections:
+library.  The base is a planar rectangle, so every metric is 2x2 and
+every expression a function of (x1, x2).  Sections:
 
 [metric]    kind = euclidean | riemannian | randers | conformal
             a11/a12/a22, b1/b2 = scalar expressions (see exprs.parse_expr)
             base = base kind for conformal; sigma = exponent expression
-[domain]    x1min/x1max/x2min/x2max, nx, ny, ntheta
+[domain]    x1min/x1max/x2min/x2max; nx, ny in [MIN_BASE_NODES,
+            MAX_BASE_NODES] and ntheta in [MIN_FIBER_NODES,
+            MAX_FIBER_NODES], the limits of bundle.SphereBundleGrid
 [condenser] c0, c1 = shape descriptors (``disk:cx,cy,r`` and friends)
-[solver]    tol, max_iter, warm_sweeps, power; p = 2 is solved by
-            conjugate gradients, every other p by Newton-CG, and tol
-            bounds the max-norm of the free gradient of both
+[solver]    tol, max_iter, warm_sweeps, power (default 2); p = 2 is
+            solved by conjugate gradients, every other p by Newton-CG,
+            and tol bounds the max-norm of the free gradient of both
 [check]     which = comma list of check names; map = identity |
             similarity:scale[,angle[,sx,sy]] | power:p; sigma;
             sigma_claim (claimed factor used instead of the witnessed
-            one, for deliberate-failure runs); u; samples; seed;
-            tol_<check name> thresholds
+            one, for deliberate-failure runs); u; samples, at most
+            MAX_CHECK_SAMPLES; seed; tol_<check name> thresholds
 [invariant] which = mu | lambda | nu | rho; points = x,y; x,y; ...;
             controls; offsets; spread; thickness
 [output]    dir, formats = csv,svg
@@ -33,7 +36,8 @@ import dataclasses
 import math
 import os
 
-from .bundle import SphereBundleGrid
+from .bundle import (MAX_BASE_NODES, MAX_FIBER_NODES, MIN_BASE_NODES,
+                     MIN_FIBER_NODES, SphereBundleGrid)
 from .capacity import CondenserSpec, SolverConfig
 from .conformal import (InvariantQuery, polar_power_map, rescale_map,
                         similarity_map)
@@ -46,8 +50,9 @@ from .shapes import (disk, disk_complement, outer_boundary, point_blob,
 
 _MISSING = object()
 
-RESOLUTION_RANGE = (3, 4096)
-FIBER_RANGE = (8, 1024)
+# [check] samples above this are rejected: the pointwise checks hold about
+# 0.35 KB per sample, so the ceiling keeps them near 0.4 GB
+MAX_CHECK_SAMPLES = 10 ** 6
 
 CHECK_NAMES = ("conformality", "volume", "energy_density", "energy",
                "capacity", "invariants")
@@ -91,7 +96,7 @@ class RunConfig:
     grid: SphereBundleGrid
     condenser: object
     solver: SolverConfig
-    power: object
+    power: float
     check: object
     invariant: object
     out_dir: str
@@ -142,12 +147,12 @@ def _getint(cp, sec, key, default=_MISSING):
         raise ConfigError(f"[{sec}] {key} must be an integer, got {raw!r}")
 
 
-def _getexpr(cp, sec, key, default=_MISSING, dim=2):
+def _getexpr(cp, sec, key, default=_MISSING):
     raw = _get(cp, sec, key, default)
     if not isinstance(raw, str):
         return raw
     try:
-        return parse_expr(raw, dim=dim)
+        return parse_expr(raw)
     except ValueError as exc:
         raise ConfigError(f"[{sec}] {key}: {exc}")
 
@@ -213,43 +218,40 @@ def parse_points(text, sec="invariant", key="points"):
 
 # -- section parsers -----------------------------------------------------------
 
+def _base_metric(cp, kind):
+    """Euclidean, Riemannian or Randers metric from [metric], or None for
+    any other kind."""
+    if kind == "euclidean":
+        return euclidean()
+    if kind not in ("riemannian", "randers"):
+        return None
+    one, zero = const(1.0), const(0.0)
+    a11 = _getexpr(cp, "metric", "a11", one)
+    a12 = _getexpr(cp, "metric", "a12", zero)
+    a = ((a11, a12), (a12, _getexpr(cp, "metric", "a22", one)))
+    if kind == "riemannian":
+        return riemannian(a)
+    return randers(a, (_getexpr(cp, "metric", "b1", zero),
+                       _getexpr(cp, "metric", "b2", zero)))
+
+
 def parse_metric(cp):
     kind = _get(cp, "metric", "kind", "euclidean")
-
-    def matrix(sec):
-        one, zero = const(1.0), const(0.0)
-        a11 = _getexpr(cp, sec, "a11", one)
-        a12 = _getexpr(cp, sec, "a12", zero)
-        a22 = _getexpr(cp, sec, "a22", one)
-        return ((a11, a12), (a12, a22))
-
     try:
-        if kind == "euclidean":
-            return euclidean()
-        if kind == "riemannian":
-            return riemannian(matrix("metric"))
-        if kind == "randers":
-            b = (_getexpr(cp, "metric", "b1", const(0.0)),
-                 _getexpr(cp, "metric", "b2", const(0.0)))
-            return randers(matrix("metric"), b)
-        if kind == "conformal":
-            base_kind = _get(cp, "metric", "base", "euclidean")
-            if base_kind == "euclidean":
-                base = euclidean()
-            elif base_kind == "riemannian":
-                base = riemannian(matrix("metric"))
-            elif base_kind == "randers":
-                b = (_getexpr(cp, "metric", "b1", const(0.0)),
-                     _getexpr(cp, "metric", "b2", const(0.0)))
-                base = randers(matrix("metric"), b)
-            else:
-                raise ConfigError(f"[metric] base: unknown kind {base_kind!r}")
-            return conformal_wrap(base, _getexpr(cp, "metric", "sigma"))
+        if kind != "conformal":
+            m = _base_metric(cp, kind)
+            if m is None:
+                raise ConfigError(f"[metric] kind: unknown kind {kind!r}")
+            return m
+        base_kind = _get(cp, "metric", "base", "euclidean")
+        base = _base_metric(cp, base_kind)
+        if base is None:
+            raise ConfigError(f"[metric] base: unknown kind {base_kind!r}")
+        return conformal_wrap(base, _getexpr(cp, "metric", "sigma"))
     except FinslerError as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"[metric]: {exc}")
-    raise ConfigError(f"[metric] kind: unknown kind {kind!r}")
 
 
 def parse_domain(cp):
@@ -260,11 +262,11 @@ def parse_domain(cp):
     nx = _getint(cp, "domain", "nx", 32)
     ny = _getint(cp, "domain", "ny", 32)
     ntheta = _getint(cp, "domain", "ntheta", 16)
-    lo, hi = RESOLUTION_RANGE
+    lo, hi = MIN_BASE_NODES, MAX_BASE_NODES
     if not (lo <= nx <= hi and lo <= ny <= hi):
         raise ConfigError(f"[domain] nx/ny must lie in [{lo}..{hi}], "
                           f"got {nx}x{ny}")
-    lo, hi = FIBER_RANGE
+    lo, hi = MIN_FIBER_NODES, MAX_FIBER_NODES
     if not lo <= ntheta <= hi:
         raise ConfigError(f"[domain] ntheta must lie in [{lo}..{hi}], "
                           f"got {ntheta}")
@@ -284,8 +286,6 @@ def parse_condenser(cp):
 
 def parse_solver(cp):
     defaults = SolverConfig()
-    if not cp.has_section("solver"):
-        return defaults, None
     cfg = SolverConfig(
         tol=_getfloat(cp, "solver", "tol", defaults.tol),
         max_iter=_getint(cp, "solver", "max_iter", defaults.max_iter),
@@ -296,8 +296,8 @@ def parse_solver(cp):
         raise ConfigError("[solver] tol must be positive")
     if cfg.max_iter < 1:
         raise ConfigError("[solver] max_iter must be at least 1")
-    power = _getfloat(cp, "solver", "power", None)
-    if power is not None and power <= 1:
+    power = _getfloat(cp, "solver", "power", 2.0)
+    if power <= 1:
         raise ConfigError("[solver] power must exceed 1")
     return cfg, power
 
@@ -349,6 +349,9 @@ def parse_check(cp, m, domain):
     samples = _getint(cp, "check", "samples", 1000)
     if samples < 1:
         raise ConfigError("[check] samples must be at least 1")
+    if samples > MAX_CHECK_SAMPLES:
+        raise ConfigError(f"[check] samples must be at most "
+                          f"{MAX_CHECK_SAMPLES}, got {samples}")
     seed = _getint(cp, "check", "seed", 1847)
     u = _getexpr(cp, "check", "u", parse_expr("linear:0.0,0.7,-0.4"))
     tols = {}

@@ -55,10 +55,6 @@ class ConformalMap:
     target: MetricSpec
     domain: tuple
 
-    @property
-    def dim(self):
-        return self.source.dim
-
 
 @dataclass
 class CheckReport:
@@ -83,11 +79,6 @@ class CheckReport:
         return out + (f" [{self.detail}]" if self.detail else "")
 
 
-def rescale(m, sigma):
-    """Metric with unit balls shrunk pointwise by exp(sigma(x))."""
-    return conformal_wrap(m, sigma)
-
-
 # -- map/metric pair construction ---------------------------------------------
 
 def _sample_domain(domain, samples, seed):
@@ -99,17 +90,23 @@ def _sample_domain(domain, samples, seed):
     return x1, x2, th
 
 
+def _pushforward(cm, x1, x2, c, s, singular):
+    """(f(x), f_* y) for y = (c, s); MapError ``singular`` where Df is."""
+    J = cm.f.deriv(x1, x2)
+    det = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
+    if np.any(np.abs(det) < 1e-14):
+        raise MapError(singular)
+    v1 = J[..., 0, 0] * c + J[..., 0, 1] * s
+    v2 = J[..., 1, 0] * c + J[..., 1, 1] * s
+    return cm.f.apply(x1, x2), (v1, v2)
+
+
 def conformality_witness(cm, samples=200, seed=1847):
     """Max relative violation of F'(f(x), f_* y) = exp(sigma) F(x, y)."""
     x1, x2, th = _sample_domain(cm.domain, samples, seed)
     c, s = np.cos(th), np.sin(th)
-    J = cm.f.deriv(x1, x2)
-    det = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
-    if np.any(np.abs(det) < 1e-14):
-        raise MapError("map derivative is singular inside the domain")
-    v1 = J[..., 0, 0] * c + J[..., 0, 1] * s
-    v2 = J[..., 1, 0] * c + J[..., 1, 1] * s
-    f1, f2 = cm.f.apply(x1, x2)
+    (f1, f2), (v1, v2) = _pushforward(
+        cm, x1, x2, c, s, "map derivative is singular inside the domain")
     lhs = eval_F(cm.target, (f1, f2), (v1, v2))
     rhs = np.exp(cm.sigma((x1, x2))) * eval_F(cm.source, (x1, x2), (c, s))
     return float(np.max(np.abs(lhs - rhs) / np.abs(rhs)))
@@ -128,7 +125,8 @@ def conformal_map(f, sigma, source, target, domain, samples=200, seed=1847,
 
 def rescale_map(m, sigma, domain):
     """Identity-map pair between m and its rescale by exp(sigma)."""
-    return conformal_map(identity_map(), sigma, m, rescale(m, sigma), domain)
+    return conformal_map(identity_map(), sigma, m, conformal_wrap(m, sigma),
+                         domain)
 
 
 def _const_matrix(a):
@@ -200,18 +198,11 @@ def polar_power_map(p, domain, m=None):
 
 def bundle_map(cm, x, theta):
     """h(x, theta) = (f(x), angle of f_* y(theta)); rays map to rays."""
-    x1 = np.asarray(x[0], dtype=float)
-    x2 = np.asarray(x[1], dtype=float)
     th = np.asarray(theta, dtype=float)
-    J = cm.f.deriv(x1, x2)
-    det = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
-    if np.any(np.abs(det) < 1e-14):
-        raise MapError("direction pushforward is singular")
-    c, s = np.cos(th), np.sin(th)
-    v1 = J[..., 0, 0] * c + J[..., 0, 1] * s
-    v2 = J[..., 1, 0] * c + J[..., 1, 1] * s
-    f1, f2 = cm.f.apply(x1, x2)
-    return (f1, f2), np.mod(np.arctan2(v2, v1), 2.0 * np.pi)
+    fx, (v1, v2) = _pushforward(cm, np.asarray(x[0], dtype=float),
+                                np.asarray(x[1], dtype=float), np.cos(th),
+                                np.sin(th), "direction pushforward is singular")
+    return fx, np.mod(np.arctan2(v2, v1), 2.0 * np.pi)
 
 
 def _bundle_chart(cm, z):
@@ -251,25 +242,15 @@ def _density_at(m, x1, x2, th):
 
 def check_pullback_volume(cm, samples=1000, seed=1847, tol=1e-6):
     """Volume densities across the map: rho' o h times |det Dh| against
-    the factor to the n-th power times rho."""
+    the factor squared times rho."""
     x1, x2, th = _sample_domain(cm.domain, samples, seed)
     (f1, f2), thp = bundle_map(cm, (x1, x2), th)
     J = bundle_map_jacobian(cm, (x1, x2), th)
     detJ = np.abs(np.linalg.det(J))
     lhs = _density_at(cm.target, f1, f2, thp) * detJ
-    n = cm.dim
-    lam_pow = np.exp(n * cm.sigma((x1, x2)))
-    rhs = lam_pow * _density_at(cm.source, x1, x2, th)
+    rhs = np.exp(2 * cm.sigma((x1, x2))) * _density_at(cm.source, x1, x2, th)
     err = float(np.max(np.abs(lhs - rhs) / np.abs(rhs)))
     return CheckReport("pullback_volume", samples, err, tol, err <= tol)
-
-
-def _expr_gradient(expr, x1, x2):
-    g1 = expr((dm.Dual(x1, np.ones_like(x1)), x2))
-    g2 = expr((x1, dm.Dual(x2, np.ones_like(x2))))
-    z = np.zeros_like(x1)
-    return (g1.eps if isinstance(g1, dm.Dual) else z,
-            g2.eps if isinstance(g2, dm.Dual) else z)
 
 
 def _composed_gradient(expr, pmap, x1, x2):
@@ -290,19 +271,19 @@ def _lift_norm_sq(m, x1, x2, th, du):
 
 
 def check_pullback_energy_density(cm, uprime, samples=500, seed=1847, tol=1e-8):
-    """Lifted gradient norms across the map, to the n-th power.
+    """Squared lifted gradient norms, the p = 2 energy densities, across
+    the map.
 
     ``uprime`` is a closed-form expression on the target side, so both
     sides differentiate exactly and the residual isolates the identity.
     """
     x1, x2, th = _sample_domain(cm.domain, samples, seed)
     (f1, f2), thp = bundle_map(cm, (x1, x2), th)
-    n = cm.dim
-    du_t = _expr_gradient(uprime, f1, f2)
-    lhs = _lift_norm_sq(cm.target, f1, f2, thp, du_t) ** (n / 2.0)
+    du_t = _composed_gradient(uprime, identity_map(), f1, f2)
+    lhs = _lift_norm_sq(cm.target, f1, f2, thp, du_t)
     du_s = _composed_gradient(uprime, cm.f, x1, x2)
-    q = _lift_norm_sq(cm.source, x1, x2, th, du_s) ** (n / 2.0)
-    rhs = np.exp(-n * cm.sigma((x1, x2))) * q
+    q = _lift_norm_sq(cm.source, x1, x2, th, du_s)
+    rhs = np.exp(-2 * cm.sigma((x1, x2))) * q
     # floor the per-sample scale at a fraction of the field's size so
     # samples where the gradient happens to vanish compare absolutely
     top = float(np.max(np.abs(rhs)))
@@ -360,7 +341,7 @@ def _map_plate(shape, cm):
     return mapped(shape, cm.f)
 
 
-def check_capacity_invariance(cm, cond, grid, cfg=SolverConfig(), power=None,
+def check_capacity_invariance(cm, cond, grid, cfg=SolverConfig(), power=2.0,
                               tol=3e-2):
     """Condenser capacity against the capacity of the mapped condenser."""
     src = minimize(cond, cm.source, grid, cfg=cfg, power=power)
@@ -518,7 +499,7 @@ def mu_catalog(q, grid):
             for C in compact_candidates(pa, pb, grid, q)]
 
 
-def invariant_mu(q, m, grid, cfg=SolverConfig(), power=None):
+def invariant_mu(q, m, grid, cfg=SolverConfig(), power=2.0):
     """Least catalog capacity of a continuum joining the two points.
 
     Candidates are capacities of compact sets against the outer ring, so
@@ -542,7 +523,7 @@ def lambda_catalog(q, grid):
             for c1 in boundary_candidates(pb, grid, qb)]
 
 
-def invariant_lambda(q, m, grid, cfg=SolverConfig(), power=None):
+def invariant_lambda(q, m, grid, cfg=SolverConfig(), power=2.0):
     """Least catalog capacity over pairs of boundary-reaching continua."""
     if len(q.points) != 2:
         raise DomainError("lambda takes exactly two points")
@@ -562,7 +543,7 @@ def nu_catalog(q, grid):
     return [CondenserSpec(c0, c1) for c0 in c0s for c1 in c1s]
 
 
-def invariant_nu(q, m, grid, cfg=SolverConfig(), power=None):
+def invariant_nu(q, m, grid, cfg=SolverConfig(), power=2.0):
     """Least catalog capacity separating a joined pair from the boundary
     continuum through the third point."""
     if len(q.points) != 3:
@@ -601,7 +582,7 @@ def rho_catalog(q, grid):
     return [CondenserSpec(c0, c1) for c0 in c0s for c1 in c1s]
 
 
-def invariant_rho(q, m, grid, cfg=SolverConfig(), power=None):
+def invariant_rho(q, m, grid, cfg=SolverConfig(), power=2.0):
     """Least catalog capacity between continua joining the two pairs."""
     if len(q.points) != 4:
         raise DomainError("the 4-point function takes exactly four points")
@@ -627,7 +608,7 @@ _ARITY = {"mu": 2, "lambda": 2, "nu": 3, "rho": 4}
 
 
 def check_invariants_invariance(cm, q, grid, which=None, cfg=SolverConfig(),
-                                power=None, tol=5e-2):
+                                power=2.0, tol=5e-2):
     """Each point function on (source, points) against (target, mapped
     points), minimizing over the mapped candidate catalog on the image
     side so both minima run over corresponding families."""

@@ -93,12 +93,6 @@ def linear(c0, *coeffs):
     return ScalarExpr("linear", (float(c0), tuple(float(a) for a in coeffs)))
 
 
-def coord(i, dim=2):
-    ks = [0.0] * dim
-    ks[i] = 1.0
-    return ScalarExpr("linear", (0.0, tuple(ks)))
-
-
 def sinusoid(amp, coeffs, phase=0.0):
     return ScalarExpr("sin", (float(amp), tuple(float(a) for a in coeffs),
                               float(phase)))
@@ -134,12 +128,12 @@ def precompose_affine(inner, mat, shift):
 _ZERO = const(0.0)
 
 
-def parse_expr(text, dim=2):
+def parse_expr(text):
     """Parse the config syntax ``name:p1,p2,...`` into a ScalarExpr.
 
     Every parameter must be a finite number.
 
-    Forms (2-d): const:c | linear:c0,k1,k2 | sin:amp,k1,k2,phase
+    Forms: const:c | linear:c0,k1,k2 | sin:amp,k1,k2,phase
     | exp:amp,k1,k2 | gauss:amp,cx,cy,w | logr:c0,c1,cx,cy | zero
     """
     text = text.strip()
@@ -157,15 +151,14 @@ def parse_expr(text, dim=2):
                              "a finite number")
     if name == "const" and len(vals) == 1:
         return const(vals[0])
-    if name == "linear" and len(vals) == dim + 1:
+    if name == "linear" and len(vals) == 3:
         return linear(vals[0], *vals[1:])
-    if name == "sin" and len(vals) in (dim + 1, dim + 2):
-        phase = vals[dim + 1] if len(vals) == dim + 2 else 0.0
-        return sinusoid(vals[0], vals[1:dim + 1], phase)
-    if name == "exp" and len(vals) == dim + 1:
+    if name == "sin" and len(vals) in (3, 4):
+        return sinusoid(vals[0], vals[1:3], *vals[3:])
+    if name == "exp" and len(vals) == 3:
         return exponential(vals[0], vals[1:])
-    if name == "gauss" and len(vals) == dim + 2:
-        return gaussian(vals[0], vals[1:dim + 1], vals[dim + 1])
-    if name == "logr" and len(vals) == dim + 2:
+    if name == "gauss" and len(vals) == 4:
+        return gaussian(vals[0], vals[1:3], vals[3])
+    if name == "logr" and len(vals) == 4:
         return log_radial(vals[0], vals[1], vals[2:])
     raise ValueError(f"unknown scalar expression {text!r}")

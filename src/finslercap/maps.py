@@ -117,10 +117,6 @@ def similarity(scale, angle=0.0, shift=(0.0, 0.0)):
     return affine_map(((scale * c, -scale * s), (scale * s, scale * c)), shift)
 
 
-def translation(shift):
-    return affine_map(((1.0, 0.0), (0.0, 1.0)), shift)
-
-
 def power_map(p):
     """Polar power map (r, phi) -> (r^p, p phi); conformal away from 0."""
     p = float(p)

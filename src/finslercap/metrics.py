@@ -50,47 +50,35 @@ class MetricSpec:
     """
 
     kind: str
-    dim: int
     a: tuple | None = None       # symmetric matrix of ScalarExpr
     b: tuple | None = None       # covector of ScalarExpr
     base: "MetricSpec | None" = None
     sigma: ScalarExpr | None = None
 
 
-def euclidean(dim=2):
-    return MetricSpec("euclidean", dim)
+def euclidean():
+    return MetricSpec("euclidean")
 
 
-def identity_matrix_field(dim=2):
-    if dim == 2:
-        return _ID2
-    zero = const(0.0)
-    one = const(1.0)
-    return tuple(tuple(one if i == j else zero for j in range(dim))
-                 for i in range(dim))
+def identity_matrix_field():
+    return _ID2
 
 
 def riemannian(a):
     a = tuple(tuple(row) for row in a)
-    n = len(a)
-    for row in a:
-        if len(row) != n:
-            raise InvalidMetricError("riemannian coefficient matrix must be square")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if a[i][j] != a[j][i]:
-                raise InvalidMetricError(
-                    "riemannian coefficient matrix must be symmetric")
-    return MetricSpec("riemannian", n, a=a)
+    if len(a) != 2 or any(len(row) != 2 for row in a):
+        raise InvalidMetricError("riemannian coefficient matrix must be 2x2")
+    if a[0][1] != a[1][0]:
+        raise InvalidMetricError(
+            "riemannian coefficient matrix must be symmetric")
+    return MetricSpec("riemannian", a=a)
 
 
 def randers(a, b):
-    a = tuple(tuple(row) for row in a)
     b = tuple(b)
-    if len(a) != len(b):
+    if len(b) != 2:
         raise InvalidMetricError("randers drift covector has wrong length")
-    base = riemannian(a)
-    return MetricSpec("randers", base.dim, a=base.a, b=b)
+    return MetricSpec("randers", a=riemannian(a).a, b=b)
 
 
 def conformal_wrap(base, sigma):
@@ -101,9 +89,9 @@ def conformal_wrap(base, sigma):
     """
     if base.kind == "conformal" and isinstance(base.sigma, ScalarExpr) \
             and isinstance(sigma, ScalarExpr):
-        return MetricSpec("conformal", base.dim, base=base.base,
+        return MetricSpec("conformal", base=base.base,
                           sigma=expr_sum(base.sigma, sigma))
-    return MetricSpec("conformal", base.dim, base=base, sigma=sigma)
+    return MetricSpec("conformal", base=base, sigma=sigma)
 
 
 # -- evaluation on dual-friendly component lists -----------------------------
@@ -121,8 +109,7 @@ def _quad(a, x, y):
 
 def _fsq(m, z):
     """F^2 on a flat variable list z = (*x, *y); dual-friendly."""
-    n = m.dim
-    x, y = z[:n], z[n:]
+    x, y = z[:2], z[2:]
     if m.kind == "euclidean":
         acc = y[0] * y[0]
         for yi in y[1:]:
@@ -143,8 +130,7 @@ def _fsq(m, z):
 
 
 def _fval(m, z):
-    n = m.dim
-    x, y = z[:n], z[n:]
+    x, y = z[:2], z[2:]
     if m.kind == "randers":
         alpha = dm.sqrt(_quad(m.a, x, y))
         beta = 0.0
@@ -158,18 +144,18 @@ def _fval(m, z):
 
 # -- input handling and validity ---------------------------------------------
 
-def _comps(v, n, what):
+def _comps(v, what):
     if isinstance(v, (list, tuple)):
         comps = [np.asarray(c, dtype=float) for c in v]
     else:
         arr = np.asarray(v, dtype=float)
-        if arr.ndim == 0 or arr.shape[0] != n:
+        if arr.ndim == 0 or arr.shape[0] != 2:
             raise DirectionError(
-                f"{what} must have {n} components along the first axis")
-        comps = [arr[i] for i in range(n)]
-    if len(comps) != n:
+                f"{what} must have 2 components along the first axis")
+        comps = [arr[0], arr[1]]
+    if len(comps) != 2:
         raise DirectionError(
-            f"{what} must have {n} components along the first axis")
+            f"{what} must have 2 components along the first axis")
     return comps
 
 
@@ -187,30 +173,18 @@ def _numeric_matrix(a, x):
 
 
 def _assert_spd(mat, label):
-    n = mat.shape[-1]
-    if n == 2:
-        ok = (mat[..., 0, 0] > 0) & (
-            mat[..., 0, 0] * mat[..., 1, 1] - mat[..., 0, 1] ** 2 > 0)
-        if not np.all(ok):
-            raise InvalidMetricError(f"{label} is not positive definite")
-        return
-    w = np.linalg.eigvalsh(mat)
-    if not np.all(w[..., 0] > 0):
+    ok = (mat[..., 0, 0] > 0) & (
+        mat[..., 0, 0] * mat[..., 1, 1] - mat[..., 0, 1] ** 2 > 0)
+    if not np.all(ok):
         raise InvalidMetricError(f"{label} is not positive definite")
 
 
 def _randers_norm2(amat, b):
-    """|b|_a^2 = b_i a^{ij} b_j; adjugate over determinant for 2x2 a."""
-    if amat.shape[-1] == 2:
-        b0, b1 = b
-        det = amat[..., 0, 0] * amat[..., 1, 1] - amat[..., 0, 1] ** 2
-        return (amat[..., 1, 1] * b0 * b0 - 2.0 * amat[..., 0, 1] * b0 * b1
-                + amat[..., 0, 0] * b1 * b1) / det
-    bvec = np.empty(amat.shape[:-1])
-    for i, bi in enumerate(b):
-        bvec[..., i] = bi
-    return np.einsum("...i,...i->...",
-                     np.linalg.solve(amat, bvec[..., None])[..., 0], bvec)
+    """|b|_a^2 = b_i a^{ij} b_j, as adjugate over determinant."""
+    b0, b1 = b
+    det = amat[..., 0, 0] * amat[..., 1, 1] - amat[..., 0, 1] ** 2
+    return (amat[..., 1, 1] * b0 * b0 - 2.0 * amat[..., 0, 1] * b0 * b1
+            + amat[..., 0, 0] * b1 * b1) / det
 
 
 def _checked_coefficients(m, x):
@@ -237,7 +211,7 @@ def validate_at(m, x):
 
 
 def coefficient_fields(m, x):
-    """Coefficient fields of a surface metric at numeric base points.
+    """Coefficient fields of a metric at numeric base points.
 
     Every catalog metric reads F = exp(sigma) (sqrt(a_ij y^i y^j) + b_i y^i).
     Returns (a, b, sigma): a as its entries (a_11, a_12, a_22), b as
@@ -246,10 +220,7 @@ def coefficient_fields(m, x):
     and keeps the shape it evaluates to, so a constant one stays a scalar.
     The points are checked as :func:`validate_at` checks them.
     """
-    xc = _comps(x, m.dim, "x")
-    if m.dim != 2:
-        raise InvalidMetricError("coefficient fields are implemented for "
-                                 "surface bases")
+    xc = _comps(x, "x")
     amat, b = _checked_coefficients(m, xc)
     sigma = 0.0
     while m.kind == "conformal":
@@ -271,8 +242,8 @@ def _check_direction(y):
 
 
 def _prep(m, x, y):
-    xc = _comps(x, m.dim, "x")
-    yc = _comps(y, m.dim, "y")
+    xc = _comps(x, "x")
+    yc = _comps(y, "y")
     validate_at(m, xc)
     _check_direction(yc)
     return xc, yc
@@ -291,21 +262,6 @@ def eval_F(m, x, y):
     return np.asarray(out, dtype=float)
 
 
-def fundamental_tensor(m, x, y):
-    """g_ij(x, y) = half Hessian of F^2 in y; raises if not positive definite."""
-    return tensor_point(m, x, y).g
-
-
-def cartan_tensor(m, x, y):
-    """Totally symmetric C_ijk = quarter third y-derivative of F^2."""
-    return tensor_point(m, x, y).cartan
-
-
-def formal_christoffel(m, x, y):
-    """gamma^i_jk of the fundamental tensor; symmetric in (j, k)."""
-    return tensor_point(m, x, y).gamma
-
-
 def _christoffel_from(g_inv, D):
     # A_sjk = ds_k g_sj - ds_s g_jk + ds_j g_ks
     A = (np.einsum("...ksj->...sjk", D)
@@ -315,9 +271,7 @@ def _christoffel_from(g_inv, D):
 
 
 def _inverse(g):
-    """Batched inverse; adjugate over determinant for 2x2 blocks."""
-    if g.shape[-1] != 2:
-        return np.linalg.inv(g)
+    """Batched 2x2 inverse, as adjugate over determinant."""
     det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
     inv = np.empty_like(g)
     inv[..., 0, 0] = g[..., 1, 1] / det
@@ -325,12 +279,6 @@ def _inverse(g):
     inv[..., 1, 0] = -g[..., 1, 0] / det
     inv[..., 1, 1] = g[..., 0, 0] / det
     return inv
-
-
-def nonlinear_connection(m, x, y):
-    """Nonlinear connection N^i_j and its 0-homogeneous scaling N^i_j / F."""
-    tp = tensor_point(m, x, y)
-    return tp.nonlin, tp.nonlin_scaled
 
 
 def _y_partials(m, xc, order):
@@ -368,20 +316,15 @@ class TensorPoint:
     g_inv: np.ndarray
     metric: MetricSpec = field(repr=False)
 
-    @property
-    def dim(self):
-        return self.g.shape[-1]
-
     def _xy_lists(self):
         """The stored x and y as component lists, for re-evaluating jets."""
-        n = self.dim
-        return ([self.x[..., i] for i in range(n)],
-                [self.y[..., i] for i in range(n)])
+        return ([self.x[..., 0], self.x[..., 1]],
+                [self.y[..., 0], self.y[..., 1]])
 
     @cached_property
     def cartan(self):
         """C_ijk = 1/2 dg_ij/dy^k, totally symmetric."""
-        n = self.dim
+        n = 2
         xc, yc = self._xy_lists()
         C = np.empty(self.F.shape + (n, n, n))
         for i in range(n):
@@ -397,7 +340,7 @@ class TensorPoint:
     @cached_property
     def dg_dx(self):
         """D[..., k, i, j] = d g_ij / d x^k, exact."""
-        n = self.dim
+        n = 2
         xc, yc = self._xy_lists()
         fsq_fn = lambda w: _fsq(self.metric, w)
         D = np.empty(self.F.shape + (n, n, n))
@@ -430,7 +373,7 @@ def tensor_point(m, x, y):
     """Evaluate F, l, g and g^{-1} at (x, y); C, gamma and N on demand."""
     xc, yc = _prep(m, x, y)
     z = xc + yc
-    n = m.dim
+    n = 2
     batch = _batch_shape(z)
 
     F = np.broadcast_to(np.asarray(_fval(m, z), dtype=float), batch).copy()

@@ -29,9 +29,9 @@ from .conformal import (CheckReport, check_pullback_energy_density,
                         check_pullback_volume, polar_power_map, rescale_map,
                         similarity_map)
 from .exprs import const, exponential, gaussian, sinusoid
-from .metrics import (cartan_tensor, conformal_wrap, euclidean, eval_F,
-                      fundamental_tensor, identity_matrix_field, randers,
-                      riemannian, tensor_point)
+from .metrics import (conformal_wrap, euclidean, eval_F,
+                      identity_matrix_field, randers, riemannian,
+                      tensor_point)
 from .shapes import disk, disk_complement
 
 EUCLID = euclidean()
@@ -68,8 +68,9 @@ def homogeneity(tol, samples=32, seed=23):
         r = rng.uniform(0.4, 1.8)
         y = (r * math.cos(th), r * math.sin(th))
         F = eval_F(m, x, y)
-        g = fundamental_tensor(m, x, y)
-        C = cartan_tensor(m, x, y)
+        tp = tensor_point(m, x, y)
+        g = tp.g
+        C = tp.cartan
         yv = np.array(y)
         worst_norm = max(worst_norm, abs(yv @ g @ yv - F * F) / (F * F))
         worst_cy = max(worst_cy, float(np.max(np.abs(C @ yv))))
@@ -78,7 +79,7 @@ def homogeneity(tol, samples=32, seed=23):
             worst_f = max(worst_f,
                           abs(eval_F(m, x, ys) - lam * F) / (lam * F))
             worst_g = max(worst_g, float(np.max(
-                np.abs(fundamental_tensor(m, x, ys) - g))))
+                np.abs(tensor_point(m, x, ys).g - g))))
     err = max(worst_f, worst_g, worst_norm, worst_cy)
     return CheckReport("homogeneity", samples, err, tol, err <= tol,
                        f"F {worst_f:.1e}, g {worst_g:.1e}, "

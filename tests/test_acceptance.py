@@ -24,12 +24,11 @@ from finslercap.capacity import (CondenserSpec, SolverConfig, energy,
 from finslercap.conformal import (InvariantQuery, check_capacity_invariance,
                                   check_energy_invariance,
                                   check_invariants_invariance, invariant_rho,
-                                  rescale, rescale_map, rho_overlap_rule,
+                                  rescale_map, rho_overlap_rule,
                                   similarity_map)
 from finslercap.errors import DomainError
 from finslercap.exprs import const, exponential, gaussian, sinusoid
-from finslercap.metrics import (cartan_tensor, eval_F, formal_christoffel,
-                                fundamental_tensor, randers)
+from finslercap.metrics import conformal_wrap, eval_F, randers, tensor_point
 from finslercap.selftest import (CONF, DOMAIN, EUCLID, RAND, annulus_capacity,
                                  energy_gradient, exterior_derivative,
                                  fiber_volume, flat_density, homogeneity,
@@ -86,8 +85,8 @@ def _fd_cartan(m, x, y, h=1e-5):
         ym = yp.copy()
         yp[k] += h
         ym[k] -= h
-        C[:, :, k] = (fundamental_tensor(m, x, tuple(yp))
-                      - fundamental_tensor(m, x, tuple(ym))) / (4 * h)
+        C[:, :, k] = (tensor_point(m, x, tuple(yp)).g
+                      - tensor_point(m, x, tuple(ym)).g) / (4 * h)
     return C
 
 
@@ -98,9 +97,9 @@ def _fd_christoffel(m, x, y, h=1e-5):
         xm = xp.copy()
         xp[k] += h
         xm[k] -= h
-        dg[:, :, k] = (fundamental_tensor(m, tuple(xp), y)
-                       - fundamental_tensor(m, tuple(xm), y)) / (2 * h)
-    g_inv = np.linalg.inv(fundamental_tensor(m, x, y))
+        dg[:, :, k] = (tensor_point(m, tuple(xp), y).g
+                       - tensor_point(m, tuple(xm), y).g) / (2 * h)
+    g_inv = np.linalg.inv(tensor_point(m, x, y).g)
     gam = np.empty((2, 2, 2))
     for i in range(2):
         for j in range(2):
@@ -124,11 +123,11 @@ def test_02_derivative_oracle_on_the_randers_family():
         r = rng.uniform(0.5, 1.5)
         y = (r * math.cos(th), r * math.sin(th))
         worst = max(worst, float(np.max(np.abs(
-            fundamental_tensor(m, x, y) - _fd_fundamental(m, x, y)))))
+            tensor_point(m, x, y).g - _fd_fundamental(m, x, y)))))
         worst = max(worst, float(np.max(np.abs(
-            cartan_tensor(m, x, y) - _fd_cartan(m, x, y)))))
+            tensor_point(m, x, y).cartan - _fd_cartan(m, x, y)))))
         worst = max(worst, float(np.max(np.abs(
-            formal_christoffel(m, x, y) - _fd_christoffel(m, x, y)))))
+            tensor_point(m, x, y).gamma - _fd_christoffel(m, x, y)))))
     _criterion("02 derivative oracle (g, C, gamma)", 10.0, worst <= 1e-5,
                time.perf_counter() - t0, f"max abs dev {worst:.2e}")
 
@@ -189,12 +188,12 @@ def test_07_conformal_energy_and_capacity_invariance():
     X1, X2 = g48.base_mesh()
     u = ScalarField(np.exp(-(X1 ** 2 + X2 ** 2)))
     e_base = energy(u, RAND, g48)
-    e_resc = energy(u, rescale(RAND, sig), g48)
+    e_resc = energy(u, conformal_wrap(RAND, sig), g48)
     id_energy = abs(e_base - e_resc) / abs(e_base)
     cond = CondenserSpec(disk_complement(0.0, 0.0, 1.5), disk(0.0, 0.0, 0.6))
     cfg = SolverConfig(tol=1e-6)
     c_base = minimize(cond, RAND, g48, cfg=cfg).value
-    c_resc = minimize(cond, rescale(RAND, sig), g48, cfg=cfg).value
+    c_resc = minimize(cond, conformal_wrap(RAND, sig), g48, cfg=cfg).value
     id_cap = abs(c_base - c_resc) / abs(c_base)
     # the full harness: image grids over rotated/dilated/shifted rectangles
     g64 = SphereBundleGrid(-2.0, 2.0, -2.0, 2.0, nx=64, ny=64, ntheta=8)

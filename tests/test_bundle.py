@@ -9,10 +9,9 @@ from finslercap.bundle import (BundleField, ScalarField, SphereBundleGrid,
                                d_axis, d_axis_adjoint, d_omega_chart,
                                d_omega_matrix, fiber_partial,
                                gradient_norm_general, gradient_norm_lift,
-                               hilbert_form, integrate, node_tensors,
-                               one_sided, sasaki_chart_metric, vertical_lift,
+                               integrate, node_tensors, one_sided,
                                volume_density)
-from finslercap.errors import FinslerError, ShapeError
+from finslercap.errors import ShapeError
 from finslercap.exprs import const, gaussian, sinusoid
 from finslercap.metrics import (conformal_wrap, euclidean,
                                 identity_matrix_field, randers, riemannian,
@@ -50,12 +49,7 @@ def test_grid_is_cell_centered():
 def test_field_shape_checks():
     g = grid()
     with pytest.raises(ShapeError):
-        vertical_lift(np.zeros((3, 3)), g)
-    with pytest.raises(ShapeError):
         ScalarField(np.zeros(g.base_shape), pinned=np.zeros((2, 2), bool))
-    lift = vertical_lift(np.ones(g.base_shape), g)
-    assert isinstance(lift, BundleField)
-    assert np.all(lift.values == 1.0)
 
 
 # -- stencils -------------------------------------------------------------------
@@ -288,7 +282,7 @@ def test_fiber_partial_periodic():
 
 def test_flat_contact_form_components():
     tp = tensor_point(EUCLID, (0.0, 0.0), (math.cos(0.6), math.sin(0.6)))
-    np.testing.assert_allclose(hilbert_form(tp),
+    np.testing.assert_allclose(tp.l_down,
                                [math.cos(0.6), math.sin(0.6)], atol=1e-15)
     A = d_omega_matrix(tp)
     l = np.array([math.cos(0.6), math.sin(0.6)])
@@ -376,18 +370,6 @@ def test_node_tensors_keep_one_entry():
     assert info.maxsize == 1 and info.currsize == 1
 
 
-def test_sasaki_chart_metric_flat_is_identity():
-    tp = tensor_point(EUCLID, (0.1, 0.2), (math.cos(0.8), math.sin(0.8)))
-    np.testing.assert_allclose(sasaki_chart_metric(tp), np.eye(3), atol=1e-14)
-
-
-def test_volume_density_needs_surface_base():
-    m3 = euclidean(dim=3)
-    tp = tensor_point(m3, (0.0, 0.0, 0.0), (1.0, 0.0, 0.0))
-    with pytest.raises(FinslerError):
-        volume_density(tp)
-
-
 # -- lifted gradients ------------------------------------------------------------
 
 def test_lift_gradient_flat_linear_field():
@@ -413,7 +395,7 @@ def test_general_gradient_reduces_on_lifts():
     g = grid(nx=14, ny=12, ntheta=16)
     X1, X2 = g.base_mesh()
     u = np.sin(X1) * X2
-    lifted = vertical_lift(u, g)
+    lifted = BundleField(np.repeat(u[:, :, None], g.ntheta, axis=2))
     full = gradient_norm_general(lifted, RANDERS, g).values
     reduced = gradient_norm_lift(u, RANDERS, g).values
     np.testing.assert_allclose(full, reduced, atol=1e-10)

@@ -9,8 +9,7 @@ from finslercap.bundle import ScalarField, SphereBundleGrid, integrate
 import finslercap.capacity as capacity
 from finslercap.capacity import (CondenserSpec, EnergyFunctional, SolverConfig,
                                  cap_compact, energy, energy_gradient,
-                                 is_monotone, minimize, oscillation,
-                                 rasterize_condenser)
+                                 minimize, rasterize_condenser)
 from finslercap.errors import ShapeError
 from finslercap.exprs import const, exponential, linear, sinusoid
 from finslercap.metrics import (conformal_wrap, euclidean,
@@ -28,6 +27,62 @@ RANDERS = randers(identity_matrix_field(), (const(0.3), const(0.1)))
 def grid(n=24, ntheta=8, half=2.0):
     return SphereBundleGrid(-half, half, -half, half, nx=n, ny=n,
                             ntheta=ntheta)
+
+
+def is_monotone(u, grid, tol=1e-12, free=None):
+    """Check that sup and inf over every sub-rectangle sit on its boundary.
+
+    Scans all index sub-rectangles with nonempty interior.  When ``free``
+    is given (boolean base mask), rectangles whose interior meets an
+    excluded node are skipped: a minimizer is only expected to be monotone
+    away from the plates that pin it.  Returns (True, None) or
+    (False, witness) where the witness records the first offending
+    rectangle as index bounds (i1, i2, j1, j2) and which extremum failed.
+    Quadratic-in-area cost; intended for moderate grids.
+    """
+    vals = np.asarray(getattr(u, "values", u), dtype=float)
+    H, W = vals.shape
+    if free is None:
+        excl = np.zeros((H, W), dtype=bool)
+    else:
+        excl = ~np.asarray(free, dtype=bool)
+        if excl.shape != vals.shape:
+            raise ShapeError("free mask shape does not match the field")
+    for j1 in range(W - 2):
+        colmax = vals[:, j1].copy()
+        colmin = vals[:, j1].copy()
+        intmax = np.full(H, -np.inf)
+        intmin = np.full(H, np.inf)
+        intexcl = np.zeros(H, dtype=bool)
+        for j2 in range(j1 + 2, W):
+            colmax = np.maximum(colmax, vals[:, j2 - 1])
+            colmin = np.minimum(colmin, vals[:, j2 - 1])
+            intmax = np.maximum(intmax, vals[:, j2 - 1])
+            intmin = np.minimum(intmin, vals[:, j2 - 1])
+            intexcl |= excl[:, j2 - 1]
+            cmax = np.maximum(colmax, vals[:, j2])
+            cmin = np.minimum(colmin, vals[:, j2])
+            edgemax = np.maximum(vals[:, j1], vals[:, j2])
+            edgemin = np.minimum(vals[:, j1], vals[:, j2])
+            for i1 in range(H - 2):
+                keep = ~np.logical_or.accumulate(intexcl[i1 + 1:H - 1])
+                run_int_max = np.maximum.accumulate(intmax[i1 + 1:H - 1])
+                run_edge_max = np.maximum.accumulate(edgemax[i1 + 1:H - 1])
+                bound = np.maximum(np.maximum(cmax[i1], cmax[i1 + 2:]),
+                                   run_edge_max)
+                bad = (run_int_max > bound + tol) & keep
+                if bad.any():
+                    i2 = i1 + 2 + int(np.argmax(bad))
+                    return False, {"rect": (i1, i2, j1, j2), "extremum": "max"}
+                run_int_min = np.minimum.accumulate(intmin[i1 + 1:H - 1])
+                run_edge_min = np.minimum.accumulate(edgemin[i1 + 1:H - 1])
+                bound = np.minimum(np.minimum(cmin[i1], cmin[i1 + 2:]),
+                                   run_edge_min)
+                bad = (run_int_min < bound - tol) & keep
+                if bad.any():
+                    i2 = i1 + 2 + int(np.argmax(bad))
+                    return False, {"rect": (i1, i2, j1, j2), "extremum": "min"}
+    return True, None
 
 
 # -- shape catalog ---------------------------------------------------------------
@@ -555,10 +610,6 @@ def test_oscillation_and_monotone_helpers():
     X1, X2 = g.base_mesh()
     u = X1 + 2 * X2
     assert is_monotone(u, g)[0]
-    assert oscillation(u, rectangle(-2.0, -2.0, 2.0, 2.0), g) == \
-        pytest.approx(3 * (X1[1, 0] - X1[0, 0]) * 11, rel=1e-12)
     bump = np.exp(-(X1 ** 2 + X2 ** 2))
     ok, witness = is_monotone(bump, g)
     assert not ok and witness is not None
-    with pytest.raises(ShapeError):
-        oscillation(u, disk(0.0, 0.0, 1e-6), g)

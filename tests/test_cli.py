@@ -12,10 +12,10 @@ import finslercap
 from finslercap.bundle import SphereBundleGrid
 from finslercap.capacity import SolverConfig
 from finslercap.cli import main
-from finslercap.config import (DEFAULT_CHECK_TOLS, apply_overrides,
-                               load_config, parse_points, parse_shape,
-                               read_config_file)
-from finslercap.errors import ConfigError
+from finslercap.config import (DEFAULT_CHECK_TOLS, MAX_CHECK_SAMPLES,
+                               apply_overrides, load_config, parse_points,
+                               parse_shape, read_config_file)
+from finslercap.errors import ConfigError, FinslerError
 from finslercap.exprs import const
 from finslercap.output import (base_field_csv, format_number, summary_csv,
                                svg_heatmap, write_csv)
@@ -74,7 +74,7 @@ def test_defaults_from_empty_config():
     assert (rc.grid.nx, rc.grid.ny, rc.grid.ntheta) == (32, 32, 16)
     assert rc.domain == (-1.0, -1.0, 1.0, 1.0)
     assert rc.condenser is None and rc.check is None and rc.invariant is None
-    assert rc.solver == SolverConfig() and rc.power is None
+    assert rc.solver == SolverConfig() and rc.power == 2.0
     assert rc.out_dir == "out" and rc.formats == ("csv", "svg")
 
 
@@ -205,6 +205,34 @@ def test_invariants_check_needs_invariant_section(tmp_path):
         load_config(path)
 
 
+def test_check_samples_are_bounded(tmp_path, capsys):
+    # only loaded: a check at the ceiling would take about 0.4 GB
+    path = write_ini(tmp_path, "[check]\nwhich = volume\n")
+    rc = load_config(path, (f"check.samples={MAX_CHECK_SAMPLES}",))
+    assert rc.check.samples == MAX_CHECK_SAMPLES == 10 ** 6
+    over = f"check.samples={MAX_CHECK_SAMPLES + 1}"
+    with pytest.raises(ConfigError, match=r"\[check\] samples"):
+        load_config(path, (over,))
+    assert main(["check", "--config", path, "--override", over]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "[check] samples" in err
+
+
+def test_grid_limits_are_shared_with_the_grid():
+    with pytest.raises(ConfigError,
+                       match=r"^\[domain\] nx/ny must lie in \[3\.\.4096\], "
+                             r"got 4097x32$"):
+        load_config(None, ("domain.nx=4097",))
+    with pytest.raises(ConfigError,
+                       match=r"^\[domain\] ntheta must lie in \[8\.\.1024\], "
+                             r"got 7$"):
+        load_config(None, ("domain.ntheta=7",))
+    with pytest.raises(FinslerError, match=r"\[3, 4096\]"):
+        SphereBundleGrid(0.0, 1.0, 0.0, 1.0, nx=4097, ny=8, ntheta=8)
+    with pytest.raises(FinslerError, match=r"\[8, 1024\]"):
+        SphereBundleGrid(0.0, 1.0, 0.0, 1.0, nx=8, ny=8, ntheta=1025)
+
+
 def test_missing_config_file_is_an_error():
     with pytest.raises(ConfigError, match="not found"):
         load_config("/no/such/file.ini")
@@ -320,6 +348,18 @@ def test_tensors_rejects_malformed_point(tmp_path, capsys):
     assert main(["tensors", "--config", path, "--x", "a,b"]) == 3
     assert main(["tensors", "--config", path, "--x", "1,2,3"]) == 3
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--x", "nan,0"), ("--x", "inf,0"), ("--theta", "nan"), ("--theta", "inf"),
+])
+def test_tensors_rejects_non_finite_flags(tmp_path, capsys, flag, value):
+    path = write_ini(tmp_path, "[metric]\nkind = euclidean\n")
+    args = {"--x": "0.3,0.4", "--theta": "0.7", flag: value}
+    assert main(["tensors", "--config", path, "--x", args["--x"],
+                 "--theta", args["--theta"]]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and f"error: {flag}" in err
 
 
 ANNULUS = """

@@ -16,12 +16,12 @@ from finslercap.conformal import (CheckReport, InvariantQuery, bundle_map,
                                   check_pullback_volume, conformal_map,
                                   conformality_witness, image_grid,
                                   invariant_lambda, invariant_mu, invariant_nu,
-                                  invariant_rho, polar_power_map, rescale,
+                                  invariant_rho, polar_power_map,
                                   rescale_map, rho_overlap_rule, similarity_map)
 from finslercap.errors import DomainError, MapError
 from finslercap.exprs import const, gaussian, linear, sinusoid
 from finslercap.maps import (affine_map, identity_map, image_bbox, power_map,
-                             similarity, translation)
+                             similarity)
 from finslercap.metrics import conformal_wrap, euclidean, randers, riemannian
 from finslercap.shapes import disk, disk_complement
 
@@ -103,12 +103,6 @@ def test_image_bbox_affine_exact():
         assert lo2 - 1e-12 <= w2 <= hi2 + 1e-12
 
 
-def test_translation_is_unit_similarity():
-    f = translation((0.3, -0.4))
-    assert f.apply(1.0, 2.0) == (1.3, 1.6)
-    np.testing.assert_allclose(f.deriv(0.0, 0.0), np.eye(2))
-
-
 # -- conformal pairs and witnesses ----------------------------------------
 
 
@@ -117,7 +111,7 @@ def test_rescale_map_witness_is_exactly_zero():
     cm = rescale_map(RAND, sig, (-2.0, -2.0, 2.0, 2.0))
     # identical arithmetic on both sides of the identity map
     assert conformality_witness(cm, samples=300, seed=9) == 0.0
-    assert cm.target == rescale(RAND, sig)
+    assert cm.target == conformal_wrap(RAND, sig)
     # wrapping a wrap merges the factors; exp(s1 + s2) re-associates,
     # so the residual is ulp-level rather than bitwise zero
     wrapped = rescale_map(CONF, sig, (-2.0, -2.0, 2.0, 2.0))
@@ -141,8 +135,8 @@ def test_catalog_witnesses_are_tiny():
 def test_conformal_map_rejects_wrong_factor():
     sig = sinusoid(0.4, (1.0, 0.5), 0.1)
     with pytest.raises(MapError, match="witness"):
-        conformal_map(identity_map(), const(0.1), CONF, rescale(CONF, sig),
-                      (-2.0, -2.0, 2.0, 2.0))
+        conformal_map(identity_map(), const(0.1), CONF,
+                      conformal_wrap(CONF, sig), (-2.0, -2.0, 2.0, 2.0))
 
 
 def test_polar_power_domain_validation():

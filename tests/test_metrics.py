@@ -6,14 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finslercap.errors import DirectionError, InvalidMetricError
-from finslercap.exprs import (const, coord, exponential, expr_sum, gaussian,
-                              linear, log_radial, parse_expr,
-                              precompose_affine, sinusoid)
+from finslercap.exprs import (const, exponential, expr_sum, gaussian, linear,
+                              log_radial, parse_expr, precompose_affine,
+                              sinusoid)
 from finslercap import metrics
-from finslercap.metrics import (MetricSpec, cartan_tensor, conformal_wrap,
-                                euclidean, eval_F, formal_christoffel,
-                                fundamental_tensor, identity_matrix_field,
-                                nonlinear_connection, randers, riemannian,
+from finslercap.metrics import (MetricSpec, conformal_wrap, euclidean, eval_F,
+                                identity_matrix_field, randers, riemannian,
                                 tensor_point, validate_at)
 
 FLAT_RANDERS = randers(identity_matrix_field(), (const(0.5), const(0.0)))
@@ -33,7 +31,7 @@ def test_expression_values():
     x = (0.7, -0.3)
     assert const(2.5)(x) == 2.5
     assert linear(1.0, 2.0, -1.0)(x) == pytest.approx(1.0 + 1.4 + 0.3)
-    assert coord(1)(x) == -0.3
+    assert linear(0.0, 0.0, 1.0)(x) == -0.3
     assert sinusoid(0.5, (2.0, 0.0), 0.1)(x) == pytest.approx(
         0.5 * math.sin(1.4 + 0.1))
     assert exponential(2.0, (1.0, 1.0))(x) == pytest.approx(2 * math.exp(0.4))
@@ -41,7 +39,8 @@ def test_expression_values():
         math.exp(-(0.58) / 4.0))
     assert log_radial(1.0, 0.5, (0.2, 0.2))(x) == pytest.approx(
         1.0 + 0.5 * 0.5 * math.log(0.25 + 0.25))
-    assert expr_sum(const(1.0), coord(0))(x) == pytest.approx(1.7)
+    assert expr_sum(const(1.0), linear(0.0, 1.0, 0.0))(x) == \
+        pytest.approx(1.7)
 
 
 def test_precompose_affine_matches_composition():
@@ -83,14 +82,14 @@ def test_flat_randers_norm():
 
 
 def test_flat_randers_fundamental_tensor():
-    g = fundamental_tensor(FLAT_RANDERS, (0.0, 0.0), (0.0, 1.0))
+    g = tensor_point(FLAT_RANDERS, (0.0, 0.0), (0.0, 1.0)).g
     np.testing.assert_allclose(g, [[1.25, 0.5], [0.5, 1.0]], atol=1e-14)
 
 
 def test_flat_randers_cartan_pattern():
     # totally symmetric, y in every kernel slot; on the diagonal direction
     # the four independent entries collapse to one alternating magnitude
-    C = cartan_tensor(FLAT_RANDERS, (0.0, 0.0), (1.0, 1.0))
+    C = tensor_point(FLAT_RANDERS, (0.0, 0.0), (1.0, 1.0)).cartan
     c = 0.13258252147247768
     sign = np.array([[[(-1.0) ** (i + j + k) for k in range(2)]
                       for j in range(2)] for i in range(2)])
@@ -98,7 +97,7 @@ def test_flat_randers_cartan_pattern():
 
 
 def test_conformally_flat_christoffel():
-    gam = formal_christoffel(EXP_RIEMANN, (0.3, -0.2), (0.7, 0.4))
+    gam = tensor_point(EXP_RIEMANN, (0.3, -0.2), (0.7, 0.4)).gamma
     np.testing.assert_allclose(gam[0], [[1.0, 0.0], [0.0, -1.0]], atol=1e-12)
     np.testing.assert_allclose(gam[1], [[0.0, 1.0], [1.0, 0.0]], atol=1e-12)
 
@@ -106,7 +105,8 @@ def test_conformally_flat_christoffel():
 def test_riemannian_connection_contracts_christoffel():
     # zero Cartan torsion leaves only the gamma * y term
     x, y = (0.3, -0.2), (0.7, 0.4)
-    N, N_scaled = nonlinear_connection(EXP_RIEMANN, x, y)
+    tp = tensor_point(EXP_RIEMANN, x, y)
+    N, N_scaled = tp.nonlin, tp.nonlin_scaled
     np.testing.assert_allclose(N, [[0.7, -0.4], [0.4, 0.7]], atol=1e-12)
     F = eval_F(EXP_RIEMANN, x, y)
     np.testing.assert_allclose(N_scaled, N / F, atol=1e-14)
@@ -164,8 +164,8 @@ def _fd_cartan(m, x, y, h=1e-5):
         ym = yp.copy()
         yp[k] += h
         ym[k] -= h
-        C[:, :, k] = (fundamental_tensor(m, x, tuple(yp))
-                      - fundamental_tensor(m, x, tuple(ym))) / (4 * h)
+        C[:, :, k] = (tensor_point(m, x, tuple(yp)).g
+                      - tensor_point(m, x, tuple(ym)).g) / (4 * h)
     return C
 
 
@@ -176,9 +176,9 @@ def _fd_christoffel(m, x, y, h=1e-5):
         xm = xp.copy()
         xp[k] += h
         xm[k] -= h
-        dg[:, :, k] = (fundamental_tensor(m, tuple(xp), y)
-                       - fundamental_tensor(m, tuple(xm), y)) / (2 * h)
-    g_inv = np.linalg.inv(fundamental_tensor(m, x, y))
+        dg[:, :, k] = (tensor_point(m, tuple(xp), y).g
+                       - tensor_point(m, tuple(xm), y).g) / (2 * h)
+    g_inv = np.linalg.inv(tensor_point(m, x, y).g)
     gam = np.empty((2, 2, 2))
     for i in range(2):
         for j in range(2):
@@ -198,9 +198,9 @@ def test_randers_family_against_finite_differences():
         th = rng.uniform(0, 2 * math.pi)
         r = rng.uniform(0.5, 1.5)
         y = (r * math.cos(th), r * math.sin(th))
-        np.testing.assert_allclose(fundamental_tensor(m, x, y),
+        np.testing.assert_allclose(tensor_point(m, x, y).g,
                                    _fd_fundamental(m, x, y), atol=1e-5)
-        np.testing.assert_allclose(cartan_tensor(m, x, y),
+        np.testing.assert_allclose(tensor_point(m, x, y).cartan,
                                    _fd_cartan(m, x, y), atol=1e-5)
 
 
@@ -211,9 +211,9 @@ def test_position_dependent_metrics_against_finite_differences():
             x = tuple(rng.uniform(-0.8, 0.8, 2))
             th = rng.uniform(0, 2 * math.pi)
             y = (math.cos(th), math.sin(th))
-            np.testing.assert_allclose(fundamental_tensor(m, x, y),
+            np.testing.assert_allclose(tensor_point(m, x, y).g,
                                        _fd_fundamental(m, x, y), atol=1e-5)
-            np.testing.assert_allclose(formal_christoffel(m, x, y),
+            np.testing.assert_allclose(tensor_point(m, x, y).gamma,
                                        _fd_christoffel(m, x, y), atol=1e-4)
 
 
@@ -228,18 +228,18 @@ def test_homogeneity_across_catalog():
             rr = rng.uniform(0.4, 1.8)
             y = (rr * math.cos(th), rr * math.sin(th))
             F = eval_F(m, x, y)
-            g = fundamental_tensor(m, x, y)
+            g = tensor_point(m, x, y).g
             yv = np.array(y)
             assert yv @ g @ yv == pytest.approx(F * F, rel=1e-10)
-            np.testing.assert_allclose(cartan_tensor(m, x, y) @ yv, 0.0,
-                                       atol=1e-10)
+            np.testing.assert_allclose(tensor_point(m, x, y).cartan @ yv,
+                                       0.0, atol=1e-10)
             for lam in (0.5, 2.0, 7.3):
                 ys = (lam * y[0], lam * y[1])
                 assert eval_F(m, x, ys) == pytest.approx(lam * F, rel=1e-12)
-                np.testing.assert_allclose(fundamental_tensor(m, x, ys), g,
+                np.testing.assert_allclose(tensor_point(m, x, ys).g, g,
                                            atol=1e-10)
-                N, _ = nonlinear_connection(m, x, y)
-                Ns, _ = nonlinear_connection(m, x, ys)
+                N = tensor_point(m, x, y).nonlin
+                Ns = tensor_point(m, x, ys).nonlin
                 np.testing.assert_allclose(Ns, lam * N, atol=1e-8 * lam)
 
 
@@ -249,7 +249,7 @@ def test_fundamental_tensor_positive_definite_on_catalog():
         for _ in range(6):
             x = tuple(rng.uniform(-0.9, 0.9, 2))
             th = rng.uniform(0, 2 * math.pi)
-            g = fundamental_tensor(m, x, (math.cos(th), math.sin(th)))
+            g = tensor_point(m, x, (math.cos(th), math.sin(th))).g
             assert np.all(np.linalg.eigvalsh(g) > 0)
 
 
@@ -260,11 +260,11 @@ def test_batched_evaluation_matches_scalar():
     for k in range(4):
         single = eval_F(WIGGLY, (xs[0][k], xs[1][k]), (ys[0][k], ys[1][k]))
         assert batch[k] == pytest.approx(single, rel=1e-15)
-    gb = fundamental_tensor(WIGGLY, xs, ys)
+    gb = tensor_point(WIGGLY, xs, ys).g
     assert gb.shape == (4, 2, 2)
     np.testing.assert_allclose(
-        gb[2], fundamental_tensor(WIGGLY, (xs[0][2], xs[1][2]),
-                                  (ys[0][2], ys[1][2])), rtol=1e-14)
+        gb[2], tensor_point(WIGGLY, (xs[0][2], xs[1][2]),
+                            (ys[0][2], ys[1][2])).g, rtol=1e-14)
 
 
 # -- error paths ----------------------------------------------------------------
@@ -342,21 +342,30 @@ def test_randers_is_positively_homogeneous(draw, size, psi, lam):
     m = randers(coeffs, tuple(const(v) for v in b))
     x, y = (0.3, -0.2), (math.cos(psi), math.sin(psi))
     F = eval_F(m, x, y)
-    g = fundamental_tensor(m, x, y)
+    g = tensor_point(m, x, y).g
     ys = (lam * y[0], lam * y[1])
     assert abs(eval_F(m, x, ys) - lam * F) <= 1e-12 * lam * F
-    assert np.max(np.abs(fundamental_tensor(m, x, ys) - g)) \
+    assert np.max(np.abs(tensor_point(m, x, ys).g - g)) \
         <= 1e-12 * np.max(np.abs(g))
-
-
-def test_randers_norm_beyond_two_dimensions_uses_solve():
-    a = np.diag([1.0, 2.0, 4.0])
-    assert metrics._randers_norm2(a, (1.0, 1.0, 1.0)) == 1.75
 
 
 def test_asymmetric_riemannian_rejected():
     with pytest.raises(InvalidMetricError):
         riemannian(((const(1.0), const(0.2)), (const(0.1), const(1.0))))
+
+
+def test_only_surface_coefficients_are_accepted():
+    one, zero = const(1.0), const(0.0)
+    eye3 = tuple(tuple(one if i == j else zero for j in range(3))
+                 for i in range(3))
+    with pytest.raises(InvalidMetricError, match="2x2"):
+        riemannian(eye3)
+    with pytest.raises(InvalidMetricError, match="2x2"):
+        riemannian(((one, zero), (zero,)))
+    with pytest.raises(InvalidMetricError, match="wrong length"):
+        randers(identity_matrix_field(), (zero, zero, zero))
+    with pytest.raises(DirectionError, match="2 components"):
+        eval_F(euclidean(), (0.0, 0.0, 0.0), (1.0, 0.0))
 
 
 def test_metric_specs_hashable_and_frozen():

@@ -18,13 +18,13 @@ from .bundle import (BundleField, ScalarField, SphereBundleGrid,
 from .capacity import (CapacityResult, CondenserSpec, SolverConfig,
                        cap_compact, energy, energy_gradient, minimize)
 from .config import RunConfig, load_config
-from .conformal import (CheckReport, ConformalMap, InvariantQuery,
-                        InvariantResult, check_capacity_invariance,
-                        check_energy_invariance, check_invariants_invariance,
+from .conformal import (POINT_FUNCTIONS, CheckReport, ConformalMap,
+                        InvariantQuery, InvariantResult, catalog,
+                        check_capacity_invariance, check_energy_invariance,
+                        check_invariant_invariance,
                         check_pullback_energy_density, check_pullback_volume,
                         conformal_map, conformality_witness, image_grid,
-                        invariant_lambda, invariant_mu, invariant_nu,
-                        invariant_rho, polar_power_map, rescale_map,
+                        invariant, polar_power_map, rescale_map,
                         rho_overlap_rule, similarity_map)
 from .errors import (ConfigError, DirectionError, DomainError, FinslerError,
                      InvalidMetricError, MapError, ShapeError)

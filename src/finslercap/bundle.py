@@ -82,6 +82,9 @@ MIN_BASE_NODES = 3
 MAX_BASE_NODES = 4096
 MIN_FIBER_NODES = 8
 MAX_FIBER_NODES = 1024
+# accepted nx*ny*ntheta: a p = 3 solve peaks near 112 B per bundle node
+# (p = 2 near 48 B), so the ceiling keeps a solve near 3.8 GB
+MAX_BUNDLE_NODES = 2 ** 25
 
 
 @dataclass(frozen=True)
@@ -106,6 +109,10 @@ class SphereBundleGrid:
         if not MIN_FIBER_NODES <= self.ntheta <= MAX_FIBER_NODES:
             raise ShapeError(f"fiber resolution must lie in [{MIN_FIBER_NODES}"
                              f", {MAX_FIBER_NODES}]")
+        nodes = self.nx * self.ny * self.ntheta
+        if nodes > MAX_BUNDLE_NODES:
+            raise ShapeError(f"nx*ny*ntheta must be at most "
+                             f"{MAX_BUNDLE_NODES} bundle nodes, got {nodes}")
 
     @property
     def dx1(self):

@@ -54,6 +54,8 @@ _SHRINK = 0.5
 _MIN_STEP = 1e-18
 _STEP0 = 1.0
 _GROW = 1.25
+# smoothing sweeps of the start field
+_WARM_SWEEPS = 100
 
 
 @dataclass(frozen=True)
@@ -63,13 +65,11 @@ class SolverConfig:
     Every solve stops when the max-norm of the free gradient falls below
     ``tol`` or after ``max_iter`` iterations: conjugate-gradient steps for
     p = 2, Newton steps for every other p, plus projected-gradient steps
-    where that fallback runs.  ``warm_sweeps`` sets the smoothing of the
-    start field.
+    where that fallback runs.
     """
 
     tol: float = 1e-8          # max-norm of the projected free gradient
     max_iter: int = 50000
-    warm_sweeps: int = 100
 
 
 @dataclass(frozen=True)
@@ -293,7 +293,7 @@ def minimize(cond, m, grid, cfg=SolverConfig(), power=2.0, region=None):
                          "refine the grid or separate the plates")
 
     func = EnergyFunctional(m, grid, power=power, region=region, pinned=pinned)
-    u = _smooth_start(pinned, pin_vals, 0.5, cfg.warm_sweeps)
+    u = _smooth_start(pinned, pin_vals, 0.5, _WARM_SWEEPS)
 
     if func.power == 2.0:
         u, history, it, res = _conjugate_gradient(func, u, pinned, cfg)

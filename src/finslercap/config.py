@@ -9,10 +9,11 @@ every expression a function of (x1, x2).  Sections:
             a11/a12/a22, b1/b2 = scalar expressions (see exprs.parse_expr)
             base = base kind for conformal; sigma = exponent expression
 [domain]    x1min/x1max/x2min/x2max; nx, ny in [MIN_BASE_NODES,
-            MAX_BASE_NODES] and ntheta in [MIN_FIBER_NODES,
-            MAX_FIBER_NODES], the limits of bundle.SphereBundleGrid
+            MAX_BASE_NODES], ntheta in [MIN_FIBER_NODES, MAX_FIBER_NODES]
+            and nx*ny*ntheta at most MAX_BUNDLE_NODES, the limits of
+            bundle.SphereBundleGrid
 [condenser] c0, c1 = shape descriptors (``disk:cx,cy,r`` and friends)
-[solver]    tol, max_iter, warm_sweeps, power (default 2); p = 2 is
+[solver]    tol, max_iter, power (default 2); p = 2 is
             solved by conjugate gradients, every other p by Newton-CG,
             and tol bounds the max-norm of the free gradient of both
 [check]     which = comma list of check names; map = identity |
@@ -20,8 +21,8 @@ every expression a function of (x1, x2).  Sections:
             sigma_claim (claimed factor used instead of the witnessed
             one, for deliberate-failure runs); u; samples, at most
             MAX_CHECK_SAMPLES; seed; tol_<check name> thresholds
-[invariant] which = mu | lambda | nu | rho; points = x,y; x,y; ...;
-            controls; offsets; spread; thickness
+[invariant] which = mu | lambda | nu | rho (conformal.POINT_FUNCTIONS);
+            points = x,y; x,y; ...; controls; offsets; spread; thickness
 [output]    dir, formats = csv,svg
 [selftest]  tol_<check name> thresholds of the ``selftest`` command, one
             per name in selftest.CHECKS
@@ -36,11 +37,11 @@ import dataclasses
 import math
 import os
 
-from .bundle import (MAX_BASE_NODES, MAX_FIBER_NODES, MIN_BASE_NODES,
-                     MIN_FIBER_NODES, SphereBundleGrid)
+from .bundle import (MAX_BASE_NODES, MAX_BUNDLE_NODES, MAX_FIBER_NODES,
+                     MIN_BASE_NODES, MIN_FIBER_NODES, SphereBundleGrid)
 from .capacity import CondenserSpec, SolverConfig
-from .conformal import (InvariantQuery, polar_power_map, rescale_map,
-                        similarity_map)
+from .conformal import (POINT_FUNCTIONS, InvariantQuery, polar_power_map,
+                        rescale_map, similarity_map)
 from .errors import ConfigError, FinslerError
 from .exprs import const, parse_expr
 from .metrics import conformal_wrap, euclidean, randers, riemannian
@@ -65,7 +66,6 @@ DEFAULT_CHECK_TOLS = {
     "capacity": 3e-2,
     "invariants": 5e-2,
 }
-INVARIANT_NAMES = ("mu", "lambda", "nu", "rho")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -270,6 +270,9 @@ def parse_domain(cp):
     if not lo <= ntheta <= hi:
         raise ConfigError(f"[domain] ntheta must lie in [{lo}..{hi}], "
                           f"got {ntheta}")
+    if nx * ny * ntheta > MAX_BUNDLE_NODES:
+        raise ConfigError(f"[domain] nx*ny*ntheta must be at most "
+                          f"{MAX_BUNDLE_NODES}, got {nx * ny * ntheta}")
     if not (x1min < x1max and x2min < x2max):
         raise ConfigError("[domain] rectangle has empty extent")
     return SphereBundleGrid(x1min, x1max, x2min, x2max,
@@ -289,8 +292,6 @@ def parse_solver(cp):
     cfg = SolverConfig(
         tol=_getfloat(cp, "solver", "tol", defaults.tol),
         max_iter=_getint(cp, "solver", "max_iter", defaults.max_iter),
-        warm_sweeps=_getint(cp, "solver", "warm_sweeps",
-                            defaults.warm_sweeps),
     )
     if cfg.tol <= 0:
         raise ConfigError("[solver] tol must be positive")
@@ -369,9 +370,9 @@ def parse_invariant(cp):
     if not cp.has_section("invariant"):
         return None
     which = _get(cp, "invariant", "which")
-    if which not in INVARIANT_NAMES:
+    if which not in POINT_FUNCTIONS:
         raise ConfigError(f"[invariant] which: unknown invariant {which!r}; "
-                          f"choose from {', '.join(INVARIANT_NAMES)}")
+                          f"choose from {', '.join(POINT_FUNCTIONS)}")
     points = parse_points(_get(cp, "invariant", "points"))
     controls = _get(cp, "invariant", "controls", None)
     offsets = _get(cp, "invariant", "offsets", None)
@@ -418,7 +419,7 @@ _SCHEMA = {
     "metric": {"kind", "base", "sigma", "a11", "a12", "a22", "b1", "b2"},
     "domain": {"x1min", "x1max", "x2min", "x2max", "nx", "ny", "ntheta"},
     "condenser": {"c0", "c1"},
-    "solver": {"tol", "max_iter", "warm_sweeps", "power"},
+    "solver": {"tol", "max_iter", "power"},
     "check": {"which", "map", "sigma", "sigma_claim", "samples", "seed", "u"}
              | {"tol_" + name for name in CHECK_NAMES},
     "invariant": {"which", "points", "controls", "offsets", "spread",

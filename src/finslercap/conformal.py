@@ -13,8 +13,10 @@ functions across the map on matching grids.
 
 The infima behind the point functions run over infinite families of
 continua; here each is replaced by a small deterministic catalog of
-thickened polylines, so every reported value is an upper bound.  The
-cross-map comparisons stay meaningful because the image side always
+thickened polylines, so every reported value is an upper bound.
+``POINT_FUNCTIONS`` registers mu, lambda, nu and rho; ``catalog``
+validates a query once for both ``invariant`` and the cross-map check.
+The cross-map comparisons stay meaningful because the image side always
 minimizes over the mapped catalog — the discrete minimum runs over
 corresponding families on both sides.
 """
@@ -341,37 +343,44 @@ def _map_plate(shape, cm):
     return mapped(shape, cm.f)
 
 
+def _compare(name, samples, src, tgt, tol, tag):
+    """Source value against image value; +inf on both sides reads 0."""
+    if math.isinf(src.value) and math.isinf(tgt.value):
+        err = 0.0
+    else:
+        err = abs(tgt.value - src.value) / max(abs(src.value), 1e-30)
+    converged = src.converged and tgt.converged
+    detail = (f"source {src.value:.6g} ({tag(src)}), "
+              f"image {tgt.value:.6g} ({tag(tgt)})")
+    if not converged:
+        detail += ", solver did not converge"
+    return CheckReport(name, samples, float(err), tol,
+                       err <= tol and converged, detail=detail)
+
+
 def check_capacity_invariance(cm, cond, grid, cfg=SolverConfig(), power=2.0,
                               tol=3e-2):
     """Condenser capacity against the capacity of the mapped condenser."""
     src = minimize(cond, cm.source, grid, cfg=cfg, power=power)
     tcond = CondenserSpec(_map_plate(cond.c0, cm), _map_plate(cond.c1, cm))
-    tgrid = image_grid(cm, grid)
-    tgt = minimize(tcond, cm.target, tgrid, cfg=cfg, power=power)
-    if math.isinf(src.value) and math.isinf(tgt.value):
-        err = 0.0
-    else:
-        err = abs(tgt.value - src.value) / max(abs(src.value), 1e-30)
-    ok = err <= tol and src.converged and tgt.converged
-    detail = (f"source {src.value:.6g} ({src.iterations} its), "
-              f"image {tgt.value:.6g} ({tgt.iterations} its)")
-    if not (src.converged and tgt.converged):
-        detail += ", solver did not converge"
-    return CheckReport("capacity_invariance", grid.nx * grid.ny, float(err),
-                       tol, ok, detail=detail)
+    tgt = minimize(tcond, cm.target, image_grid(cm, grid), cfg=cfg,
+                   power=power)
+    return _compare("capacity_invariance", grid.nx * grid.ny, src, tgt, tol,
+                    lambda r: f"{r.iterations} its")
 
 
-# -- candidate catalogs for the point functions ----------------------------------
+# -- the point functions and their candidate catalogs ---------------------
 
 @dataclass(frozen=True)
 class InvariantQuery:
     """Points plus the catalog parameters of the candidate continua.
 
     ``controls`` lists how many interior control points the candidate
-    polylines carry; ``offsets`` are the perpendicular displacements of
-    those controls in units of ``spread`` times the chord length.  The
-    straight segment appears whenever 0 is among the offsets.  Larger
-    catalogs can only lower the reported minima.
+    polylines carry (None: (1, 2, 3) for mu, (0, 1) for nu and rho);
+    ``offsets`` are the perpendicular displacements of those controls in
+    units of ``spread`` times the chord length.  The straight segment
+    appears whenever 0 is among the offsets.  Larger catalogs can only
+    lower the reported minima.
     """
 
     points: tuple
@@ -391,31 +400,19 @@ class InvariantQuery:
                            tuple(float(o) for o in self.offsets))
 
 
-def _default_thickness(grid):
-    return 1.25 * max(grid.dx1, grid.dx2)
-
-
-def _check_inside(points, grid):
-    for (px, py) in points:
-        if not (grid.x1min < px < grid.x1max and grid.x2min < py < grid.x2max):
-            raise DomainError(f"point ({px}, {py}) lies outside the grid "
-                              "rectangle")
-
-
 def _offset_combos(k, offsets):
     if k <= 2:
         return list(itertools.product(offsets, repeat=k))
     return [(o,) * k for o in offsets]
 
 
-def compact_candidates(pa, pb, grid, q):
+def compact_candidates(pa, pb, thick, controls, offsets, spread):
     """Thickened polylines joining two points; controls on a coarse lattice.
 
     Control points sit at even fractions along the chord, displaced
     perpendicularly by the catalog offsets.  A zero-length chord collapses
     the family to a blob at the point.
     """
-    thick = q.thickness if q.thickness is not None else _default_thickness(grid)
     ax, ay = pa
     bx, by = pb
     vx, vy = bx - ax, by - ay
@@ -423,26 +420,24 @@ def compact_candidates(pa, pb, grid, q):
     if L == 0.0:
         return [point_blob(ax, ay, thick)]
     px, py = -vy / L, vx / L
-    controls = q.controls if q.controls is not None else (1, 2, 3)
     cands = []
     for k in controls:
         if k == 0:
             cands.append(polyline(((ax, ay), (bx, by)), thick))
             continue
         fracs = [(i + 1.0) / (k + 1.0) for i in range(k)]
-        for combo in _offset_combos(k, q.offsets):
+        for combo in _offset_combos(k, offsets):
             pts = [(ax, ay)]
             for f, o in zip(fracs, combo):
-                d = o * q.spread * L
+                d = o * spread * L
                 pts.append((ax + f * vx + d * px, ay + f * vy + d * py))
             pts.append((bx, by))
             cands.append(polyline(pts, thick))
     return list(dict.fromkeys(cands))
 
 
-def boundary_candidates(p, grid, q):
+def boundary_candidates(p, grid, thick):
     """Thickened polylines from a point to each side of the rectangle."""
-    thick = q.thickness if q.thickness is not None else _default_thickness(grid)
     px, py = p
     exits = ((grid.x1min, py), (grid.x1max, py), (px, grid.x2min),
              (px, grid.x2max))
@@ -489,69 +484,51 @@ def _solve_catalog(pairs, m, grid, cfg, power):
     return InvariantResult(best, bi, vals, outs[bi][1], skipped, pairs[bi])
 
 
-def _sorted_pair(pa, pb):
-    return (pa, pb) if pa <= pb else (pb, pa)
+def _joins(pair, q, thick, default_controls):
+    """Continua joining a canonically ordered pair of the query's points."""
+    pa, pb = sorted(pair)
+    controls = default_controls if q.controls is None else q.controls
+    return compact_candidates(pa, pb, thick, controls, q.offsets, q.spread)
 
 
-def mu_catalog(q, grid):
-    pa, pb = _sorted_pair(q.points[0], q.points[1])
+def _mu(q, grid, thick):
+    """Joins of the two points against the outer ring (truncation: an
+    upper bound for the infimum over all continua)."""
     return [CondenserSpec(outer_boundary(), C)
-            for C in compact_candidates(pa, pb, grid, q)]
+            for C in _joins(q.points, q, thick, (1, 2, 3))]
 
 
-def invariant_mu(q, m, grid, cfg=SolverConfig(), power=2.0):
-    """Least catalog capacity of a continuum joining the two points.
-
-    Candidates are capacities of compact sets against the outer ring, so
-    the value inherits the truncation-rectangle dependence; it is an upper
-    bound for the untruncated infimum over all continua.
-    """
-    if len(q.points) != 2:
-        raise DomainError("mu takes exactly two points")
-    if q.points[0] == q.points[1]:
-        raise DomainError("mu needs two distinct points")
-    _check_inside(q.points, grid)
-    return _solve_catalog(mu_catalog(q, grid), m, grid, cfg, power)
-
-
-def lambda_catalog(q, grid):
-    pa, pb = _sorted_pair(q.points[0], q.points[1])
-    qa = InvariantQuery(points=(pa,), thickness=q.thickness)
-    qb = InvariantQuery(points=(pb,), thickness=q.thickness)
+def _lambda(q, grid, thick):
+    """Pairs of boundary-reaching continua through the two points."""
+    pa, pb = sorted(q.points)
     return [CondenserSpec(c0, c1)
-            for c0 in boundary_candidates(pa, grid, qa)
-            for c1 in boundary_candidates(pb, grid, qb)]
+            for c0 in boundary_candidates(pa, grid, thick)
+            for c1 in boundary_candidates(pb, grid, thick)]
 
 
-def invariant_lambda(q, m, grid, cfg=SolverConfig(), power=2.0):
-    """Least catalog capacity over pairs of boundary-reaching continua."""
-    if len(q.points) != 2:
-        raise DomainError("lambda takes exactly two points")
-    if q.points[0] == q.points[1]:
-        raise DomainError("lambda needs two distinct points")
-    _check_inside(q.points, grid)
-    return _solve_catalog(lambda_catalog(q, grid), m, grid, cfg, power)
+def _nu(q, grid, thick):
+    """Boundary continua through the third point against joins of the first
+    two."""
+    c1s = _joins(q.points[:2], q, thick, (0, 1))
+    return [CondenserSpec(c0, c1)
+            for c0 in boundary_candidates(q.points[2], grid, thick)
+            for c1 in c1s]
 
 
-def nu_catalog(q, grid):
-    x1, x2, x3 = q.points
-    qc = InvariantQuery(points=(x1, x2), controls=q.controls or (0, 1),
-                        offsets=q.offsets, spread=q.spread,
-                        thickness=q.thickness)
-    c1s = compact_candidates(*_sorted_pair(x1, x2), grid, qc)
-    c0s = boundary_candidates(x3, grid, q)
+def _rho(q, grid, thick):
+    """Continua joining the first pair against continua joining the second."""
+    c0s = _joins(q.points[:2], q, thick, (0, 1))
+    c1s = _joins(q.points[2:], q, thick, (0, 1))
     return [CondenserSpec(c0, c1) for c0 in c0s for c1 in c1s]
 
 
-def invariant_nu(q, m, grid, cfg=SolverConfig(), power=2.0):
-    """Least catalog capacity separating a joined pair from the boundary
-    continuum through the third point."""
-    if len(q.points) != 3:
-        raise DomainError("nu takes exactly three points")
-    if q.points[0] == q.points[1] == q.points[2]:
-        raise DomainError("nu points may not all coincide")
-    _check_inside(q.points, grid)
-    return _solve_catalog(nu_catalog(q, grid), m, grid, cfg, power)
+# name -> (number of points, catalog builder)
+POINT_FUNCTIONS = {
+    "mu": (2, _mu),
+    "lambda": (2, _lambda),
+    "nu": (3, _nu),
+    "rho": (4, _rho),
+}
 
 
 def rho_overlap_rule(points):
@@ -572,74 +549,57 @@ def rho_overlap_rule(points):
     return "ok"
 
 
-def rho_catalog(q, grid):
-    x1, x2, x3, x4 = q.points
-    qp = InvariantQuery(points=q.points, controls=q.controls or (0, 1),
-                        offsets=q.offsets, spread=q.spread,
-                        thickness=q.thickness)
-    c0s = compact_candidates(*_sorted_pair(x1, x2), grid, qp)
-    c1s = compact_candidates(*_sorted_pair(x3, x4), grid, qp)
-    return [CondenserSpec(c0, c1) for c0 in c0s for c1 in c1s]
+def catalog(name, q, grid):
+    """Candidate condensers of the point function ``name`` at ``q``.
 
-
-def invariant_rho(q, m, grid, cfg=SolverConfig(), power=2.0):
-    """Least catalog capacity between continua joining the two pairs."""
-    if len(q.points) != 4:
-        raise DomainError("the 4-point function takes exactly four points")
-    verdict = rho_overlap_rule(q.points)
+    The one place a query is validated: a wrong number of points, the
+    degenerate set (all points coincide; for rho, three, by
+    ``rho_overlap_rule``), a point outside the grid rectangle and an empty
+    catalog raise DomainError.  None means +inf by rho's overlap rule.
+    """
+    arity, build = POINT_FUNCTIONS[name]
+    if len(q.points) != arity:
+        raise DomainError(f"{name} takes exactly {arity} points, "
+                          f"got {len(q.points)}")
+    verdict = rho_overlap_rule(q.points) if name == "rho" else "ok"
     if verdict == "degenerate":
-        raise DomainError("at least three of the four points coincide")
+        raise DomainError("rho: at least three of the four points coincide")
+    if len(set(q.points)) == 1:
+        raise DomainError(f"{name}: all {arity} points coincide")
     if verdict == "overlap":
+        return None
+    for (px, py) in q.points:
+        if not (grid.x1min < px < grid.x1max and grid.x2min < py < grid.x2max):
+            raise DomainError(f"{name}: point ({px}, {py}) lies outside "
+                              "the grid rectangle")
+    thick = (q.thickness if q.thickness is not None
+             else 1.25 * max(grid.dx1, grid.dx2))
+    pairs = build(q, grid, thick)
+    if not pairs:
+        raise DomainError(f"{name}: empty catalog; give controls and offsets")
+    return pairs
+
+
+def invariant(name, q, m, grid, cfg=SolverConfig(), power=2.0):
+    """Catalog minimum of the point function ``name`` on the metric m."""
+    pairs = catalog(name, q, grid)
+    if pairs is None:
         return InvariantResult(math.inf, -1, (), True)
-    _check_inside(q.points, grid)
-    return _solve_catalog(rho_catalog(q, grid), m, grid, cfg, power)
+    return _solve_catalog(pairs, m, grid, cfg, power)
 
 
-# -- invariance of the point functions across a map -------------------------------
-
-_CATALOGS = {
-    "mu": mu_catalog,
-    "lambda": lambda_catalog,
-    "nu": nu_catalog,
-    "rho": rho_catalog,
-}
-
-_ARITY = {"mu": 2, "lambda": 2, "nu": 3, "rho": 4}
-
-
-def check_invariants_invariance(cm, q, grid, which=None, cfg=SolverConfig(),
-                                power=2.0, tol=5e-2):
-    """Each point function on (source, points) against (target, mapped
+def check_invariant_invariance(cm, name, q, grid, cfg=SolverConfig(),
+                               power=2.0, tol=5e-2):
+    """The point function on (source, points) against (target, mapped
     points), minimizing over the mapped candidate catalog on the image
     side so both minima run over corresponding families."""
-    if which is None:
-        which = [k for k, n in _ARITY.items() if n == len(q.points)]
-    tgrid = image_grid(cm, grid)
-    reports = []
-    for name in which:
-        if _ARITY[name] != len(q.points):
-            raise DomainError(f"{name} needs {_ARITY[name]} points, "
-                              f"got {len(q.points)}")
-        if name == "rho" and rho_overlap_rule(q.points) != "ok":
-            verdict = rho_overlap_rule(q.points)
-            if verdict == "degenerate":
-                raise DomainError("at least three of the four points coincide")
-            reports.append(CheckReport("invariance_rho", 0, 0.0, tol, True,
-                                       detail="+inf on both sides"))
-            continue
-        _check_inside(q.points, grid)
-        pairs = _CATALOGS[name](q, grid)
-        src = _solve_catalog(pairs, cm.source, grid, cfg, power)
-        tpairs = [CondenserSpec(_map_plate(c.c0, cm), _map_plate(c.c1, cm))
-                  for c in pairs]
-        tgt = _solve_catalog(tpairs, cm.target, tgrid, cfg, power)
-        if math.isinf(src.value) and math.isinf(tgt.value):
-            err = 0.0
-        else:
-            err = abs(tgt.value - src.value) / max(abs(src.value), 1e-30)
-        ok = err <= tol and src.converged and tgt.converged
-        detail = (f"source {src.value:.6g} (cand {src.winner}), "
-                  f"image {tgt.value:.6g} (cand {tgt.winner})")
-        reports.append(CheckReport(f"invariance_{name}", len(pairs),
-                                   float(err), tol, ok, detail=detail))
-    return reports
+    pairs = catalog(name, q, grid)
+    if pairs is None:
+        return CheckReport(f"invariance_{name}", 0, 0.0, tol, True,
+                           detail="+inf on both sides")
+    src = _solve_catalog(pairs, cm.source, grid, cfg, power)
+    tpairs = [CondenserSpec(_map_plate(c.c0, cm), _map_plate(c.c1, cm))
+              for c in pairs]
+    tgt = _solve_catalog(tpairs, cm.target, image_grid(cm, grid), cfg, power)
+    return _compare(f"invariance_{name}", len(pairs), src, tgt, tol,
+                    lambda r: f"cand {r.winner}")

@@ -23,7 +23,7 @@ from finslercap.capacity import (CondenserSpec, SolverConfig, energy,
                                  minimize)
 from finslercap.conformal import (InvariantQuery, check_capacity_invariance,
                                   check_energy_invariance,
-                                  check_invariants_invariance, invariant_rho,
+                                  check_invariant_invariance, invariant,
                                   rescale_map, rho_overlap_rule,
                                   similarity_map)
 from finslercap.errors import DomainError
@@ -249,8 +249,8 @@ def test_09_point_invariants_across_maps():
     reports = []
     for cm in maps:
         for q, which in ((qmu, "mu"), (qrho, "rho")):
-            reports.extend(check_invariants_invariance(
-                cm, q, g, which=[which], cfg=cfg, tol=5e-2))
+            reports.append(check_invariant_invariance(
+                cm, which, q, g, cfg=cfg, tol=5e-2))
     ok = all(r.passed for r in reports)
     worst = max(r.max_rel_err for r in reports)
     _criterion("09 point invariants across maps", 120.0, ok,
@@ -270,17 +270,17 @@ def test_10_four_point_overlap_rule():
     # +inf exactly on cross-pair collisions, before any solve
     for points in ((a, b, a, d), (a, b, c, a), (a, b, b, d), (a, b, c, b)):
         assert rho_overlap_rule(points) == "overlap"
-        res = invariant_rho(InvariantQuery(points=points), EUCLID, g)
+        res = invariant("rho", InvariantQuery(points=points), EUCLID, g)
         ok = ok and math.isinf(res.value) and res.winner == -1
     # distinct pairs and a within-pair coincidence both stay finite
     for points in ((a, b, c, d), (a, a, c, d)):
         assert rho_overlap_rule(points) == "ok"
-        res = invariant_rho(InvariantQuery(points=points, controls=(0,)),
-                            EUCLID, g, cfg=cfg)
+        res = invariant("rho", InvariantQuery(points=points, controls=(0,)),
+                        EUCLID, g, cfg=cfg)
         ok = ok and math.isfinite(res.value) and res.value > 0
     # three coincident points fall outside the rule's domain
     with pytest.raises(DomainError):
-        invariant_rho(InvariantQuery(points=(a, a, a, d)), EUCLID, g)
+        invariant("rho", InvariantQuery(points=(a, a, a, d)), EUCLID, g)
     assert rho_overlap_rule((a, a, a, d)) == "degenerate"
     _criterion("10 four-point overlap rule", 1.0, ok,
                time.perf_counter() - t0, "8 engineered collision patterns")

@@ -443,7 +443,8 @@ def test_newton_matches_projected_gradient(p):
     pinned = m0 | m1
     pin_vals = np.where(m1, 1.0, 0.0)
     func = EnergyFunctional(EUCLID, g, power=p, pinned=pinned)
-    start = capacity._smooth_start(pinned, pin_vals, 0.5, cfg.warm_sweeps)
+    start = capacity._smooth_start(pinned, pin_vals, 0.5,
+                                   capacity._WARM_SWEEPS)
     _, E, _, _, _, converged = capacity._projected_gradient(
         func, start, pinned, pin_vals, cfg, cfg.max_iter)
     assert res.converged and converged

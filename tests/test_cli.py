@@ -9,13 +9,15 @@ import numpy as np
 import pytest
 
 import finslercap
-from finslercap.bundle import SphereBundleGrid
+from finslercap import bundle, config
+from finslercap.bundle import MAX_BUNDLE_NODES, SphereBundleGrid
 from finslercap.capacity import SolverConfig
 from finslercap.cli import main
 from finslercap.config import (DEFAULT_CHECK_TOLS, MAX_CHECK_SAMPLES,
                                apply_overrides, load_config, parse_points,
                                parse_shape, read_config_file)
-from finslercap.errors import ConfigError, FinslerError
+from finslercap.conformal import POINT_FUNCTIONS
+from finslercap.errors import ConfigError, FinslerError, ShapeError
 from finslercap.exprs import const
 from finslercap.output import (base_field_csv, format_number, summary_csv,
                                svg_heatmap, write_csv)
@@ -183,6 +185,8 @@ def test_override_syntax_is_validated():
     "[solver]\narmijo = 1e-4\n",
     "[solver]\nshrink = 0.5\n",
     "[solver]\ngrow = 1.25\n",
+    # the start-field smoothing is a constant, no longer settable
+    "[solver]\nwarm_sweeps = 100\n",
     "[solver]\nmin_step = 1e-18\n",
 ])
 def test_validation_failures_raise_config_error(tmp_path, snippet):
@@ -231,6 +235,29 @@ def test_grid_limits_are_shared_with_the_grid():
         SphereBundleGrid(0.0, 1.0, 0.0, 1.0, nx=4097, ny=8, ntheta=8)
     with pytest.raises(FinslerError, match=r"\[8, 1024\]"):
         SphereBundleGrid(0.0, 1.0, 0.0, 1.0, nx=8, ny=8, ntheta=1025)
+
+
+def test_bundle_node_ceiling(tmp_path, monkeypatch, capsys):
+    # every grid the tests, the README and the benchmark use stays accepted
+    assert MAX_BUNDLE_NODES == 2 ** 25 and 128 * 128 * 64 <= MAX_BUNDLE_NODES
+    # config imports the limit by name, so patch both readers; no grid
+    # above the real limit is ever allocated
+    monkeypatch.setattr(bundle, "MAX_BUNDLE_NODES", 16 * 16 * 8)
+    monkeypatch.setattr(config, "MAX_BUNDLE_NODES", 16 * 16 * 8)
+    at = ("domain.nx=16", "domain.ny=16", "domain.ntheta=8")
+    assert load_config(None, at).grid.ntheta == 8
+    over = at + ("domain.ntheta=9",)
+    with pytest.raises(ConfigError,
+                       match=r"^\[domain\] nx\*ny\*ntheta must be at most "
+                             r"2048, got 2304$"):
+        load_config(None, over)
+    with pytest.raises(ShapeError, match=r"nx\*ny\*ntheta .* got 2304$"):
+        SphereBundleGrid(0.0, 1.0, 0.0, 1.0, nx=16, ny=16, ntheta=9)
+    path = write_ini(tmp_path, BASE)
+    assert main(["capacity", "--config", path,
+                 "--override", "domain.ntheta=9"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "[domain] nx*ny*ntheta" in err
 
 
 def test_missing_config_file_is_an_error():
@@ -418,7 +445,6 @@ def test_capacity_exit_2_when_not_converged(tmp_path, capsys):
     path = write_ini(tmp_path, BASE)
     code = main(["capacity", "--config", path, "--out", run_dir(tmp_path),
                  "--override", "solver.max_iter=2",
-                 "--override", "solver.warm_sweeps=0",
                  "--override", "solver.tol=1e-14"])
     assert code == 2
     assert "converged: false" in capsys.readouterr().out
@@ -506,6 +532,69 @@ def test_invariant_needs_its_section(tmp_path, capsys):
     path = write_ini(tmp_path, BASE)
     assert main(["invariant", "--config", path]) == 3
     assert "invariant" in capsys.readouterr().err
+
+
+# one query per point function, inside BASE's [-2, 2]^2 grid
+CHECK_POINTS = {
+    "mu": "-0.8,-0.5; 0.9,0.6",
+    "lambda": "-0.8,-0.5; 0.9,0.6",
+    "nu": "-0.8,-0.5; 0.9,0.6; 1.2,-1.1",
+    "rho": "-1.2,-0.6; -0.2,-0.8; 0.3,0.9; 1.3,0.5",
+}
+
+
+@pytest.mark.parametrize("name", list(POINT_FUNCTIONS))
+def test_check_runs_each_point_function(tmp_path, capsys, name):
+    controls = "" if name == "lambda" else "controls = 0\n"
+    path = write_ini(tmp_path, BASE + f"""
+[check]
+which = invariants
+map = identity
+sigma = const:0.4
+
+[invariant]
+which = {name}
+points = {CHECK_POINTS[name]}
+""" + controls)
+    d = run_dir(tmp_path)
+    assert main(["check", "--config", path, "--out", d]) == 0
+    # finite on both sides: a catalog whose every candidate was dropped
+    # would compare +inf with +inf and pass without a solve
+    out = capsys.readouterr().out
+    assert out.startswith(f"invariance_{name}: ") and "inf" not in out
+    lines = open(os.path.join(d, "checks.csv")).read().splitlines()
+    assert len(lines) == 2
+    assert lines[1].startswith(f"invariance_{name},")
+    assert lines[1].endswith(",true")
+
+
+@pytest.mark.parametrize("which, points", [
+    ("mu", "0.3,0.2; 0.3,0.2"),
+    ("lambda", "0.3,0.2; 0.3,0.2"),
+    ("nu", "0.3,0.2; 0.3,0.2; 0.3,0.2"),
+    ("rho", "0.3,0.2; 0.3,0.2; 0.3,0.2; -0.5,0.9"),
+    ("mu", "0,0; 0.5,0.5; 1,0"),  # three points for a 2-point function
+    ("lambda", "0,0; 5,0"),  # outside the [-2, 2]^2 grid
+])
+def test_check_and_invariant_reject_the_same_queries(tmp_path, capsys, which,
+                                                     points):
+    path = write_ini(tmp_path, BASE + f"""
+[check]
+which = invariants
+map = similarity:1.3
+
+[invariant]
+which = {which}
+points = {points}
+""")
+    errs = []
+    for command in ("invariant", "check"):
+        code = main([command, "--config", path, "--out", run_dir(tmp_path)])
+        out, err = capsys.readouterr()
+        assert code == 3 and out == "", (command, out)
+        errs.append(err)
+    assert errs[0] == errs[1]
+    assert errs[0].startswith(f"error: {which}")
 
 
 def test_selftest_runs_clean_and_detects_corruption(capsys):

@@ -9,14 +9,14 @@ import pytest
 from finslercap.bundle import SphereBundleGrid
 from finslercap.capacity import CondenserSpec, SolverConfig
 from finslercap.conformal import (CheckReport, InvariantQuery, bundle_map,
-                                  bundle_map_jacobian, check_capacity_invariance,
+                                  bundle_map_jacobian, catalog,
+                                  check_capacity_invariance,
                                   check_energy_invariance,
-                                  check_invariants_invariance,
+                                  check_invariant_invariance,
                                   check_pullback_energy_density,
                                   check_pullback_volume, conformal_map,
                                   conformality_witness, image_grid,
-                                  invariant_lambda, invariant_mu, invariant_nu,
-                                  invariant_rho, polar_power_map,
+                                  invariant, polar_power_map,
                                   rescale_map, rho_overlap_rule, similarity_map)
 from finslercap.errors import DomainError, MapError
 from finslercap.exprs import const, gaussian, linear, sinusoid
@@ -282,20 +282,21 @@ def test_invariant_arity_and_domain_errors():
     g = grid(n=12)
     q3 = InvariantQuery(points=((0.0, 0.0), (0.5, 0.5), (1.0, 0.0)))
     with pytest.raises(DomainError):
-        invariant_mu(q3, EUCLID, g)
+        invariant("mu", q3, EUCLID, g)
     with pytest.raises(DomainError):
-        invariant_mu(InvariantQuery(points=((0.1, 0.1), (0.1, 0.1))),
-                     EUCLID, g)
+        invariant("mu", InvariantQuery(points=((0.1, 0.1), (0.1, 0.1))),
+                  EUCLID, g)
     with pytest.raises(DomainError):
-        invariant_lambda(InvariantQuery(points=((0.0, 0.0), (5.0, 0.0))),
-                         EUCLID, g)
+        invariant("lambda", InvariantQuery(points=((0.0, 0.0), (5.0, 0.0))),
+                  EUCLID, g)
     with pytest.raises(DomainError):
-        invariant_nu(InvariantQuery(points=((0.1, 0.1),) * 3), EUCLID, g)
+        invariant("nu", InvariantQuery(points=((0.1, 0.1),) * 3), EUCLID, g)
     with pytest.raises(DomainError):
-        invariant_rho(q3, EUCLID, g)
+        invariant("rho", q3, EUCLID, g)
     with pytest.raises(DomainError):
-        invariant_rho(InvariantQuery(points=((0.1, 0.1),) * 3 + ((1.0, 0.0),)),
-                      EUCLID, g)
+        invariant("rho",
+                  InvariantQuery(points=((0.1, 0.1),) * 3 + ((1.0, 0.0),)),
+                  EUCLID, g)
 
 
 def test_mu_swap_symmetry_is_exact():
@@ -303,8 +304,8 @@ def test_mu_swap_symmetry_is_exact():
     qa = InvariantQuery(points=((-0.8, -0.5), (0.9, 0.6)), controls=(1,))
     qb = InvariantQuery(points=((0.9, 0.6), (-0.8, -0.5)), controls=(1,))
     cfg = SolverConfig(tol=1e-6)
-    ra = invariant_mu(qa, RAND, g, cfg=cfg)
-    rb = invariant_mu(qb, RAND, g, cfg=cfg)
+    ra = invariant("mu", qa, RAND, g, cfg=cfg)
+    rb = invariant("mu", qb, RAND, g, cfg=cfg)
     # the pair is canonicalized before the catalog is built
     assert ra.value == rb.value and ra.winner == rb.winner
     assert ra.candidate_values == rb.candidate_values
@@ -314,11 +315,11 @@ def test_mu_catalog_monotone_under_enlargement():
     g = grid(n=20)
     cfg = SolverConfig(tol=1e-6)
     points = ((-0.8, -0.5), (0.9, 0.6))
-    small = invariant_mu(InvariantQuery(points=points, controls=(1,),
-                                        offsets=(0.0,)), RAND, g, cfg=cfg)
-    big = invariant_mu(InvariantQuery(points=points, controls=(1,),
-                                      offsets=(-1.0, 0.0, 1.0)), RAND, g,
-                       cfg=cfg)
+    small = invariant("mu", InvariantQuery(points=points, controls=(1,),
+                                           offsets=(0.0,)), RAND, g, cfg=cfg)
+    big = invariant("mu", InvariantQuery(points=points, controls=(1,),
+                                         offsets=(-1.0, 0.0, 1.0)), RAND, g,
+                    cfg=cfg)
     assert big.value <= small.value
     assert small.converged and big.converged
     assert big.continuum is not None
@@ -339,12 +340,12 @@ def test_catalog_solves_each_rasterized_problem_once(monkeypatch):
         return solve(cond, *args, **kwargs)
 
     monkeypatch.setattr(conformal, "minimize", counting)
-    res = invariant_mu(q, CONF, g, cfg=cfg)
+    res = invariant("mu", q, CONF, g, cfg=cfg)
     assert len(res.candidate_values) == 15
     assert len(calls) == 13
     # every candidate, duplicates included, gets its own solve's value
     direct = [solve(c, CONF, g, cfg=cfg).value
-              for c in conformal.mu_catalog(q, g)]
+              for c in conformal.catalog("mu", q, g)]
     assert res.candidate_values == tuple(direct)
     assert res.winner == direct.index(min(direct))
 
@@ -353,11 +354,30 @@ def test_nu_returns_a_finite_catalog_minimum():
     g = grid(n=20)
     q = InvariantQuery(points=((-0.6, -0.3), (0.5, 0.4), (1.2, -1.1)),
                        controls=(0,))
-    res = invariant_nu(q, EUCLID, g, cfg=SolverConfig(tol=1e-5))
+    res = invariant("nu", q, EUCLID, g, cfg=SolverConfig(tol=1e-5))
     assert math.isfinite(res.value) and res.value > 0
     assert 0 <= res.winner < len(res.candidate_values)
     assert res.value == min(v for v in res.candidate_values
                             if math.isfinite(v))
+
+
+def test_empty_catalog_is_rejected():
+    # a function's default controls apply only to controls=None; an
+    # explicit choice that leaves no candidate is bad input, not a
+    # converged +inf
+    g = grid(n=12)
+    two = ((-0.8, -0.5), (0.9, 0.6))
+    for q in (InvariantQuery(points=two, controls=()),
+              InvariantQuery(points=two, controls=(1,), offsets=())):
+        with pytest.raises(DomainError, match="^mu: empty catalog"):
+            invariant("mu", q, EUCLID, g)
+    three = InvariantQuery(points=two + ((1.2, -1.1),), controls=())
+    with pytest.raises(DomainError, match="^nu: empty catalog"):
+        invariant("nu", three, EUCLID, g)
+    # controls=None keeps the defaults: (1, 2, 3) for mu, (0, 1) for rho
+    assert len(catalog("mu", InvariantQuery(points=two), g)) == 15
+    four = InvariantQuery(points=two + ((1.2, -1.1), (-1.0, 1.1)))
+    assert len(catalog("rho", four, g)) == 4 * 4
 
 
 def test_rho_overlap_rule_exhaustive():
@@ -380,7 +400,7 @@ def test_rho_overlap_short_circuits_to_inf():
     g = grid(n=12)
     q = InvariantQuery(points=((0.1, 0.2), (0.8, -0.3), (0.1, 0.2),
                                (-0.5, 0.9)))
-    res = invariant_rho(q, EUCLID, g)
+    res = invariant("rho", q, EUCLID, g)
     assert math.isinf(res.value) and res.winner == -1
     assert res.converged and res.candidate_values == ()
 
@@ -390,9 +410,9 @@ def test_invariance_check_mu_identity_rescale():
     sig = sinusoid(0.3, (0.8, -0.5), 0.4)
     cm = rescale_map(RAND, sig, (-2.0, -2.0, 2.0, 2.0))
     q = InvariantQuery(points=((-0.8, -0.5), (0.9, 0.6)), controls=(1,))
-    reports = check_invariants_invariance(cm, q, g, which=["mu"],
+    reports = [check_invariant_invariance(cm, "mu", q, g,
                                           cfg=SolverConfig(tol=1e-6),
-                                          tol=1e-10)
+                                          tol=1e-10)]
     assert len(reports) == 1 and reports[0].passed
     assert reports[0].max_rel_err < 1e-12
 
@@ -402,7 +422,7 @@ def test_invariance_check_handles_rho_overlap():
     cm = rescale_map(EUCLID, const(0.2), (-2.0, -2.0, 2.0, 2.0))
     q = InvariantQuery(points=((0.1, 0.2), (0.8, -0.3), (0.1, 0.2),
                                (-0.5, 0.9)))
-    reports = check_invariants_invariance(cm, q, g, which=["rho"])
+    reports = [check_invariant_invariance(cm, "rho", q, g)]
     assert reports[0].passed and "+inf" in reports[0].detail
 
 
@@ -411,4 +431,4 @@ def test_invariance_check_rejects_wrong_arity():
     cm = rescale_map(EUCLID, const(0.2), (-2.0, -2.0, 2.0, 2.0))
     q = InvariantQuery(points=((0.0, 0.0), (0.5, 0.5)))
     with pytest.raises(DomainError):
-        check_invariants_invariance(cm, q, g, which=["nu"])
+        check_invariant_invariance(cm, "nu", q, g)

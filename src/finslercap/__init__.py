@@ -12,9 +12,9 @@ with numerical checks of the invariance identities.
 """
 
 from .bundle import (BundleField, ScalarField, SphereBundleGrid,
-                     d_omega_chart, d_omega_matrix, gradient_norm_general,
-                     gradient_norm_lift, integrate, node_tensors,
-                     volume_density)
+                     d_omega_chart, d_omega_matrix, fiber_form,
+                     gradient_norm_general, gradient_norm_lift, integrate,
+                     node_tensors, volume_density)
 from .capacity import (CapacityResult, CondenserSpec, SolverConfig,
                        cap_compact, energy, energy_gradient, minimize)
 from .config import RunConfig, load_config

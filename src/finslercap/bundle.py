@@ -58,6 +58,13 @@ which is 1 on the flat metric and det a / alpha^2 for Riemannian ones.
 The jet path (``tensor_point`` and ``volume_density``) stays the
 pointwise evaluator and the tests' independent oracle for these forms.
 
+The p = 2 energy reads these forms only through their fiber fold
+sum_theta g^{-1} rho dtheta, in which a conformal factor cancels.
+``fiber_form`` evaluates the closed forms one x1-row block at a time and
+folds each block before the next, so the p = 2 path never holds an
+(nx, ny, ntheta) array; ``node_tensors`` keeps whole-grid g^{-1} and rho
+for the p != 2 energy, the quadrature and the checks.
+
 Base-field derivatives take central differences, except at the nodes
 that ``one_sided`` lists: the grid edges and, for a pinned field, the
 pinned rim nodes that face free nodes.  Those take one-sided second-order
@@ -359,20 +366,22 @@ def volume_density(tp: TensorPoint):
 
 @dataclass
 class NodeTensors:
-    """What the energy and the quadrature read at every bundle node.
+    """g^{-1} and the volume density at every bundle node.
 
-    g^{-1} and the volume density: 40 bytes per node.  Both come from the
-    closed forms of the module docstring, so a miss costs a few dozen
-    elementwise operations per node and no jets.
+    40 bytes per node.  Both come from the closed forms of the module
+    docstring, so a miss costs a few dozen elementwise operations per node
+    and no jets.  The p != 2 energy and the quadrature read them; the p = 2
+    energy reads only their fiber fold, ``fiber_form``, which never holds
+    them for the whole grid.
     """
 
     g_inv: np.ndarray
     rho: np.ndarray
 
 
-# node_tensors evaluates this many nodes at a time (whole x1 rows, at least
-# one), so the closed forms' temporaries stay a few MB and cache-resident
-# however large the grid is; only the two output arrays scale with it
+# node_tensors and fiber_form evaluate this many nodes at a time (whole x1
+# rows, at least one), so the closed forms' temporaries stay a few MB and
+# cache-resident however large the grid is
 _NODES_PER_BLOCK = 1 << 15
 
 
@@ -384,9 +393,17 @@ def _grid_tensor_point(m, grid, rows=slice(None)):
     return tensor_point(m, (X1, X2), (c[None, None, :], s[None, None, :]))
 
 
+def _row_blocks(grid):
+    """x1-row slices of about _NODES_PER_BLOCK bundle nodes each."""
+    step = max(1, _NODES_PER_BLOCK // (grid.ny * grid.ntheta))
+    return [slice(lo, min(lo + step, grid.nx))
+            for lo in range(0, grid.nx, step)]
+
+
 def _fill_block(m, grid, rows, g_inv, rho):
     """Closed-form g^{-1} and rho over the bundle nodes of the x1 rows
-    ``rows`` (see the module docstring), written into ``g_inv`` and ``rho``.
+    ``rows`` (see the module docstring), written into ``g_inv`` and ``rho``
+    of shapes (rows, ny, ntheta, 2, 2) and (rows, ny, ntheta).
 
     The block is laid out fiber-major, (ntheta, base nodes), so that the
     products of base and fiber fields run along the long axis.  A constant
@@ -423,13 +440,13 @@ def _fill_block(m, grid, rows, g_inv, rho):
         raise InvalidMetricError("fundamental tensor g(x, y) is not positive "
                                  "definite")
     q = 1.0 / (scale * det_b)
-    out = g_inv[rows].reshape(-1, grid.ntheta, 2, 2).swapaxes(0, 1)
+    out = g_inv.reshape(-1, grid.ntheta, 2, 2).swapaxes(0, 1)
     out[..., 0, 0] = adj[0] * q
     out[..., 0, 1] = out[..., 1, 0] = adj[1] * q
     out[..., 1, 1] = adj[2] * q
     dens = dens * (scale * det_a)
     _check_density(dens)
-    rho[rows].reshape(-1, grid.ntheta).T[...] = dens
+    rho.reshape(-1, grid.ntheta).T[...] = dens
 
 
 @lru_cache(maxsize=1)
@@ -440,10 +457,33 @@ def node_tensors(m, grid):
     """
     nd = NodeTensors(g_inv=np.empty(grid.shape + (2, 2)),
                      rho=np.empty(grid.shape))
-    step = max(1, _NODES_PER_BLOCK // (grid.ny * grid.ntheta))
-    for lo in range(0, grid.nx, step):
-        _fill_block(m, grid, slice(lo, lo + step), nd.g_inv, nd.rho)
+    for rows in _row_blocks(grid):
+        _fill_block(m, grid, rows, nd.g_inv[rows], nd.rho[rows])
     return nd
+
+
+@lru_cache(maxsize=1)
+def fiber_form(m, grid):
+    """sum over the fiber of g^{-1} rho dx1 dx2 dtheta, shape (nx, ny, 2, 2).
+
+    The base form of the p = 2 energy.  Each x1-row block is evaluated
+    into one block-sized buffer and folded before the next, so no
+    (nx, ny, ntheta) array is ever held; the sums are those of the same
+    fold over ``node_tensors``, bit for bit.  One read-only entry is kept:
+    the last (metric, grid) pair asked for.
+    """
+    blocks = _row_blocks(grid)
+    size = blocks[0].stop - blocks[0].start
+    g_inv = np.empty((size, grid.ny, grid.ntheta, 2, 2))
+    rho = np.empty((size, grid.ny, grid.ntheta))
+    form = np.empty(grid.base_shape + (2, 2))
+    for rows in blocks:
+        n = rows.stop - rows.start
+        _fill_block(m, grid, rows, g_inv[:n], rho[:n])
+        np.einsum("ijkab,ijk->ijab", g_inv[:n], rho[:n] * grid.cell_weight,
+                  out=form[rows])
+    form.flags.writeable = False
+    return form
 
 
 # -- gradient norms and integration --------------------------------------------

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bundle import (ScalarField, SphereBundleGrid, d_axis, d_axis_adjoint,
-                     node_tensors, one_sided)
+                     fiber_form, node_tensors, one_sided)
 from .errors import ShapeError
 from .shapes import Shape, outer_boundary
 
@@ -95,9 +95,11 @@ class EnergyFunctional:
     """Discrete p-energy of vertical lifts on a fixed (metric, grid) pair.
 
     For p = 2 the fiber sum is folded into one base quadratic form per
-    node, which keeps solver iterations at base-grid cost.  The general-p
-    value and gradient keep the fiber axis explicit; its Hessian folds into
-    one base form per Newton step (``hessian_form``).
+    node, ``bundle.fiber_form`` restricted to ``region``, which keeps both
+    set-up memory and solver iterations at base-grid cost.  The general-p
+    value and gradient keep the fiber axis explicit over
+    ``bundle.node_tensors``; its Hessian folds into one base form per
+    Newton step (``hessian_form``).
     """
 
     def __init__(self, m, grid, power=2.0, region=None, pinned=None):
@@ -107,18 +109,23 @@ class EnergyFunctional:
         self.power = float(power)
         self.sides = (one_sided(grid.base_shape, 0, pinned),
                       one_sided(grid.base_shape, 1, pinned))
-        nd = node_tensors(m, grid)
-        wgt = nd.rho * grid.cell_weight
         if region is not None:
             region = np.asarray(region, dtype=bool)
             if region.shape != grid.base_shape:
                 raise ShapeError("region mask shape differs from grid base shape")
-            wgt = wgt * region[:, :, None]
         if self.power == 2.0:
-            self.base_form = np.einsum("ijkab,ijk->ijab", nd.g_inv, wgt)
+            M = fiber_form(m, grid)
+            if region is not None:
+                # where, not a product: masked entries are +0.0 as in the fold
+                M = np.where(region[..., None, None], M, 0.0)
+            self.base_form = M
             self.g_inv = None
             self.wgt = None
         else:
+            nd = node_tensors(m, grid)
+            wgt = nd.rho * grid.cell_weight
+            if region is not None:
+                wgt = wgt * region[:, :, None]
             self.base_form = None
             self.g_inv = nd.g_inv
             self.wgt = wgt

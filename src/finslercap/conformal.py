@@ -446,7 +446,13 @@ def boundary_candidates(p, grid, thick):
 
 @dataclass
 class InvariantResult:
-    """Catalog minimum with per-candidate bookkeeping."""
+    """Catalog minimum with per-candidate bookkeeping.
+
+    ``skipped`` counts the candidates dropped as unusable on the grid
+    (plates closer than two cells, or a plate that rasterizes to no node);
+    their entries in ``candidate_values`` read +inf.  A candidate whose
+    plates overlap has the value +inf by rule and is not skipped.
+    """
 
     value: float
     winner: int
@@ -456,14 +462,14 @@ class InvariantResult:
     continuum: CondenserSpec | None = None
 
 
-def _solve_catalog(pairs, m, grid, cfg, power):
+def _solve_catalog(name, pairs, m, grid, cfg, power):
     def one(cond):
         try:
             r = minimize(cond, m, grid, cfg=cfg, power=power)
             return (r.value, r.converged)
         except ShapeError:
             # candidate unusable at this resolution; drop it from the catalog
-            return (math.inf, True)
+            return None
 
     # candidates whose plates rasterize alike pose one discrete problem
     keys = [(c.c0.rasterize(grid).tobytes(), c.c1.rasterize(grid).tobytes())
@@ -473,15 +479,22 @@ def _solve_catalog(pairs, m, grid, cfg, power):
         distinct.setdefault(k, c)
     solved = {k: one(c) for k, c in distinct.items()}
     outs = [solved[k] for k in keys]
-    vals = tuple(v for v, _ in outs)
+    skipped = outs.count(None)
+    vals = tuple(math.inf if o is None else o[0] for o in outs)
     best, bi = math.inf, -1
     for i, v in enumerate(vals):
         if v < best:
             best, bi = v, i
-    skipped = sum(1 for v, conv in outs if math.isinf(v) and conv)
-    if bi < 0:
-        return InvariantResult(math.inf, -1, vals, True, skipped)
-    return InvariantResult(best, bi, vals, outs[bi][1], skipped, pairs[bi])
+    if bi >= 0:
+        return InvariantResult(best, bi, vals, outs[bi][1], skipped,
+                               pairs[bi])
+    if skipped:
+        # a dropped candidate's value is unknown, so +inf would be no bound
+        raise ShapeError(f"{name}: no candidate has a finite value and "
+                         f"{skipped} of {len(outs)} were dropped as unusable "
+                         "on this grid; refine the grid or move the points")
+    # every candidate has overlapping plates: +inf by rule
+    return InvariantResult(math.inf, -1, vals, True)
 
 
 def _joins(pair, q, thick, default_controls):
@@ -555,7 +568,8 @@ def catalog(name, q, grid):
     The one place a query is validated: a wrong number of points, the
     degenerate set (all points coincide; for rho, three, by
     ``rho_overlap_rule``), a point outside the grid rectangle and an empty
-    catalog raise DomainError.  None means +inf by rho's overlap rule.
+    catalog raise DomainError.  None means +inf by rho's overlap rule; it
+    is returned only for points inside the grid.
     """
     arity, build = POINT_FUNCTIONS[name]
     if len(q.points) != arity:
@@ -566,12 +580,12 @@ def catalog(name, q, grid):
         raise DomainError("rho: at least three of the four points coincide")
     if len(set(q.points)) == 1:
         raise DomainError(f"{name}: all {arity} points coincide")
-    if verdict == "overlap":
-        return None
     for (px, py) in q.points:
         if not (grid.x1min < px < grid.x1max and grid.x2min < py < grid.x2max):
             raise DomainError(f"{name}: point ({px}, {py}) lies outside "
                               "the grid rectangle")
+    if verdict == "overlap":
+        return None
     thick = (q.thickness if q.thickness is not None
              else 1.25 * max(grid.dx1, grid.dx2))
     pairs = build(q, grid, thick)
@@ -585,7 +599,7 @@ def invariant(name, q, m, grid, cfg=SolverConfig(), power=2.0):
     pairs = catalog(name, q, grid)
     if pairs is None:
         return InvariantResult(math.inf, -1, (), True)
-    return _solve_catalog(pairs, m, grid, cfg, power)
+    return _solve_catalog(name, pairs, m, grid, cfg, power)
 
 
 def check_invariant_invariance(cm, name, q, grid, cfg=SolverConfig(),
@@ -597,9 +611,10 @@ def check_invariant_invariance(cm, name, q, grid, cfg=SolverConfig(),
     if pairs is None:
         return CheckReport(f"invariance_{name}", 0, 0.0, tol, True,
                            detail="+inf on both sides")
-    src = _solve_catalog(pairs, cm.source, grid, cfg, power)
+    src = _solve_catalog(name, pairs, cm.source, grid, cfg, power)
     tpairs = [CondenserSpec(_map_plate(c.c0, cm), _map_plate(c.c1, cm))
               for c in pairs]
-    tgt = _solve_catalog(tpairs, cm.target, image_grid(cm, grid), cfg, power)
+    tgt = _solve_catalog(name, tpairs, cm.target, image_grid(cm, grid), cfg,
+                         power)
     return _compare(f"invariance_{name}", len(pairs), src, tgt, tol,
                     lambda r: f"cand {r.winner}")

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from finslercap import bundle
 from finslercap.bundle import (BundleField, ScalarField, SphereBundleGrid,
                                d_axis, d_axis_adjoint, d_omega_chart,
-                               d_omega_matrix, fiber_partial,
+                               d_omega_matrix, fiber_form, fiber_partial,
                                gradient_norm_general, gradient_norm_lift,
                                integrate, node_tensors, one_sided,
                                volume_density)
@@ -16,6 +17,7 @@ from finslercap.exprs import const, gaussian, sinusoid
 from finslercap.metrics import (conformal_wrap, euclidean,
                                 identity_matrix_field, randers, riemannian,
                                 tensor_point)
+from finslercap.selftest import CATALOG
 
 EUCLID = euclidean()
 RANDERS = randers(identity_matrix_field(), (const(0.4), const(0.1)))
@@ -367,6 +369,37 @@ def test_node_tensors_keep_one_entry():
     node_tensors(EUCLID, grid())
     node_tensors(RANDERS, grid(nx=9))
     info = node_tensors.cache_info()
+    assert info.maxsize == 1 and info.currsize == 1
+
+
+# -- the p = 2 fiber fold ----------------------------------------------------------
+
+@pytest.mark.parametrize("block", [None, 1], ids=["default", "one-node"])
+@pytest.mark.parametrize("m", CATALOG, ids=["euclid", "riemann", "randers",
+                                            "conformal"])
+def test_fiber_form_is_the_fold_of_node_tensors_bit_for_bit(monkeypatch, m,
+                                                            block):
+    # 40 x1 rows of 24 x 64 nodes: two blocks of 21 and 19 rows by default,
+    # one row per block when a block holds one node
+    if block is not None:
+        monkeypatch.setattr(bundle, "_NODES_PER_BLOCK", block)
+    g = grid(nx=40, ny=24, ntheta=64, box=(-2.0, 2.0, -2.0, 2.0))
+    fiber_form.cache_clear()
+    nd = node_tensors(m, g)
+    fold = np.einsum("ijkab,ijk->ijab", nd.g_inv, nd.rho * g.cell_weight)
+    M = fiber_form(m, g)
+    assert M.shape == (40, 24, 2, 2)
+    assert M.tobytes() == fold.tobytes()
+
+
+def test_fiber_form_keeps_one_read_only_entry():
+    M = fiber_form(EUCLID, grid())
+    assert fiber_form(EUCLID, grid()) is M
+    assert not M.flags.writeable
+    with pytest.raises(ValueError):
+        M[0, 0, 0, 0] = 1.0
+    fiber_form(RANDERS, grid(nx=9))
+    info = fiber_form.cache_info()
     assert info.maxsize == 1 and info.currsize == 1
 
 

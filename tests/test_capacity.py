@@ -1,11 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from finslercap.bundle import ScalarField, SphereBundleGrid, integrate
+from finslercap import bundle
+from finslercap.bundle import (ScalarField, SphereBundleGrid, fiber_form,
+                               integrate)
 import finslercap.capacity as capacity
 from finslercap.capacity import (CondenserSpec, EnergyFunctional, SolverConfig,
                                  cap_compact, energy, energy_gradient,
@@ -252,6 +255,50 @@ def test_p2_fiber_fold_matches_its_closed_form(name):
     exact = _fold_closed_form(m, *g.base_mesh())
     err = np.max(np.abs(M - exact), axis=(-2, -1))
     assert float(np.max(err / np.max(np.abs(exact), axis=(-2, -1)))) <= 1e-13
+
+
+def test_p2_energy_and_solve_never_build_node_tensors(monkeypatch):
+    def refuse(m, grid):
+        raise AssertionError("node_tensors called on the p = 2 path")
+
+    monkeypatch.setattr(bundle, "node_tensors", refuse)
+    monkeypatch.setattr(capacity, "node_tensors", refuse)
+    fiber_form.cache_clear()
+    g = grid(n=20)
+    X1, X2 = g.base_mesh()
+    u = np.sin(X1) * X2
+    region = X1 < 0.3
+    full = EnergyFunctional(CONF, g)
+    part = EnergyFunctional(CONF, g, region=region)
+    assert np.array_equal(part.base_form,
+                          np.where(region[..., None, None], full.base_form,
+                                   0.0))
+    assert 0.0 < part.value(u) < full.value(u)
+    cond = CondenserSpec(disk_complement(0.0, 0.0, 1.5), disk(0.0, 0.0, 0.6))
+    res = minimize(cond, CONF, g, cfg=SolverConfig(tol=1e-6))
+    assert res.converged and math.isfinite(res.value) and res.value > 0.0
+
+
+def test_p2_solve_memory_does_not_grow_with_the_fiber(monkeypatch):
+    """The traced peak of a p = 2 solve on one base grid stays flat in
+    ntheta: from 8 to 64 fiber nodes it grows by less than one
+    (nx, ny, 64) float64 array.  A block of one x1 row at ntheta = 8 makes
+    the block cap apply at both resolutions."""
+    n = 48
+    monkeypatch.setattr(bundle, "_NODES_PER_BLOCK", n * 8)
+    cond = CondenserSpec(disk_complement(0.0, 0.0, 1.5), disk(0.0, 0.0, 0.6))
+    peaks = {}
+    for ntheta in (8, 64):
+        g = grid(n=n, ntheta=ntheta)
+        fiber_form.cache_clear()
+        tracemalloc.start()
+        try:
+            res = minimize(cond, RANDERS, g, cfg=SolverConfig(tol=1e-6))
+            peaks[ntheta] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.converged
+    assert peaks[64] - peaks[8] < n * n * 64 * 8, peaks
 
 
 def test_energy_gradient_matches_finite_differences():

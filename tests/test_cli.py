@@ -597,6 +597,29 @@ points = {points}
     assert errs[0].startswith(f"error: {which}")
 
 
+def test_catalog_without_a_finite_candidate_exits_3(tmp_path, capsys):
+    # every join of these points either reaches the outer ring (+inf by
+    # rule) or ends closer than two cells to it and is dropped
+    path = write_ini(tmp_path, BASE + """
+[check]
+which = invariants
+map = identity
+sigma = const:0.4
+
+[invariant]
+which = mu
+points = 1.55,-0.5; 1.55,0.5
+""")
+    for command in ("invariant", "check"):
+        d = run_dir(tmp_path)
+        code = main([command, "--config", path, "--out", d])
+        out, err = capsys.readouterr()
+        assert code == 3 and out == "", (command, out)
+        assert err.startswith("error: mu: no candidate has a finite value "
+                              "and 8 of 15 were dropped")
+        assert not os.path.exists(d) or not os.listdir(d)
+
+
 def test_selftest_runs_clean_and_detects_corruption(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out

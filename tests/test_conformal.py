@@ -18,12 +18,13 @@ from finslercap.conformal import (CheckReport, InvariantQuery, bundle_map,
                                   conformality_witness, image_grid,
                                   invariant, polar_power_map,
                                   rescale_map, rho_overlap_rule, similarity_map)
-from finslercap.errors import DomainError, MapError
+from finslercap.conformal import _solve_catalog
+from finslercap.errors import DomainError, MapError, ShapeError
 from finslercap.exprs import const, gaussian, linear, sinusoid
 from finslercap.maps import (affine_map, identity_map, image_bbox, power_map,
                              similarity)
 from finslercap.metrics import conformal_wrap, euclidean, randers, riemannian
-from finslercap.shapes import disk, disk_complement
+from finslercap.shapes import disk, disk_complement, outer_boundary
 
 EUCLID = euclidean()
 IDMAT = ((const(1.0), const(0.0)), (const(0.0), const(1.0)))
@@ -403,6 +404,43 @@ def test_rho_overlap_short_circuits_to_inf():
     res = invariant("rho", q, EUCLID, g)
     assert math.isinf(res.value) and res.winner == -1
     assert res.converged and res.candidate_values == ()
+
+
+def test_point_outside_the_grid_is_rejected_before_the_overlap_rule():
+    g = grid(n=16)
+    cm = rescale_map(EUCLID, const(0.2), (-2.0, -2.0, 2.0, 2.0))
+    q = InvariantQuery(points=((0.1, 0.2), (5.0, 0.0), (0.1, 0.2),
+                               (-0.5, 0.9)))
+    with pytest.raises(DomainError, match=r"^rho: point \(5.0, 0.0\) lies "
+                                          "outside"):
+        invariant("rho", q, EUCLID, g)
+    with pytest.raises(DomainError, match="outside"):
+        check_invariant_invariance(cm, "rho", q, g)
+
+
+def test_dropped_candidates_are_kept_apart_from_overlapping_ones():
+    g = grid(n=16)
+    cfg = SolverConfig(tol=1e-4)
+    finite = CondenserSpec(outer_boundary(), disk(0.0, 0.0, 0.5))
+    overlap = CondenserSpec(disk(0.0, 0.0, 0.5), disk(0.3, 0.0, 0.5))
+    # disjoint, but closer than two cells: a ShapeError drops it
+    dropped = CondenserSpec(disk(0.0, 0.0, 0.5), disk(0.9, 0.0, 0.2))
+
+    res = _solve_catalog("mu", [overlap, dropped, finite], EUCLID, g, cfg,
+                         2.0)
+    assert (res.winner, res.skipped, res.converged) == (2, 1, True)
+    assert res.candidate_values[:2] == (math.inf, math.inf)
+    assert math.isfinite(res.value) and res.continuum == finite
+
+    res = _solve_catalog("mu", [overlap, overlap], EUCLID, g, cfg, 2.0)
+    assert math.isinf(res.value) and res.winner == -1
+    assert res.converged and res.skipped == 0
+
+    for pairs in ([dropped], [overlap, dropped]):
+        with pytest.raises(ShapeError,
+                           match=f"^mu: no candidate has a finite value and "
+                                 f"1 of {len(pairs)} were dropped"):
+            _solve_catalog("mu", pairs, EUCLID, g, cfg, 2.0)
 
 
 def test_invariance_check_mu_identity_rescale():

@@ -16,7 +16,8 @@ from .bundle import (BundleField, ScalarField, SphereBundleGrid,
                      gradient_norm_general, gradient_norm_lift, integrate,
                      node_tensors, volume_density)
 from .capacity import (CapacityResult, CondenserSpec, SolverConfig,
-                       cap_compact, energy, energy_gradient, minimize)
+                       cap_compact, energy, energy_gradient, minimize,
+                       minimize_all)
 from .config import RunConfig, load_config
 from .conformal import (POINT_FUNCTIONS, CheckReport, ConformalMap,
                         InvariantQuery, InvariantResult, catalog,

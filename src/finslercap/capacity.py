@@ -19,10 +19,22 @@ conjugate-gradient loop solves each Newton system to the forcing term
 min(0.5, sqrt(|g|)) |g| (Eisenstat & Walker 1996), and an Armijo
 backtracking line search on the energy takes the step.
 
+``minimize_all`` solves many condensers on one metric and grid, as a
+catalog of candidate continua poses them.  For p = 2 their fields carry a
+leading batch axis and one conjugate-gradient loop runs them all: every
+operator application covers the whole batch, while each candidate keeps
+its own step lengths, stopping test and iteration count, so its result is
+bit for bit the one it gets alone.  A batch holds at most
+``bundle._NODES_PER_BLOCK`` base nodes and always one candidate, so from
+256x256 up a batch is a single candidate and a catalog peaks no higher
+than one solve.  Every other p is solved one candidate at a time, with a
+line search and bundle-sized temporaries of its own.  ``minimize`` is the
+batch of one.
+
 This difference operator has no discrete maximum principle, so a solution
 whose free values leave [0, 1], or a Newton solve whose line search
-stalls, is finished by projected gradient descent with a backtracking
-line search, which clamps free values to [0, 1].
+stalls, is finished alone by projected gradient descent with a
+backtracking line search, which clamps free values to [0, 1].
 
 Overlapping plates are a well-defined degenerate condenser with infinite
 capacity, not an error; plates closer than two cells without overlapping
@@ -40,6 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import bundle
 from .bundle import (ScalarField, SphereBundleGrid, d_axis, d_axis_adjoint,
                      fiber_form, node_tensors, one_sided)
 from .errors import ShapeError
@@ -96,10 +109,13 @@ class EnergyFunctional:
 
     For p = 2 the fiber sum is folded into one base quadratic form per
     node, ``bundle.fiber_form`` restricted to ``region``, which keeps both
-    set-up memory and solver iterations at base-grid cost.  The general-p
-    value and gradient keep the fiber axis explicit over
-    ``bundle.node_tensors``; its Hessian folds into one base form per
-    Newton step (``hessian_form``).
+    set-up memory and solver iterations at base-grid cost.  A p = 2 pin
+    mask may carry a leading batch axis, one base grid per candidate; the
+    fields are then shaped like it, partials run along the last two axes
+    and ``value`` gives one energy per candidate.  The general-p value and
+    gradient keep the fiber axis explicit over ``bundle.node_tensors`` on
+    a single base grid; its Hessian folds into one base form per Newton
+    step (``hessian_form``).
     """
 
     def __init__(self, m, grid, power=2.0, region=None, pinned=None):
@@ -107,8 +123,14 @@ class EnergyFunctional:
             raise ValueError("integrand power must exceed 1")
         self.grid = grid
         self.power = float(power)
-        self.sides = (one_sided(grid.base_shape, 0, pinned),
-                      one_sided(grid.base_shape, 1, pinned))
+        shape = grid.base_shape if pinned is None else np.shape(pinned)
+        if shape[-2:] != grid.base_shape:
+            raise ShapeError("pin mask shape differs from grid base shape")
+        if len(shape) != 2 and self.power != 2.0:
+            raise ShapeError("only the p = 2 energy takes a batch of pin "
+                             "masks")
+        self.axes = (len(shape) - 2, len(shape) - 1)
+        self.sides = tuple(one_sided(shape, axis, pinned) for axis in self.axes)
         if region is not None:
             region = np.asarray(region, dtype=bool)
             if region.shape != grid.base_shape:
@@ -131,12 +153,13 @@ class EnergyFunctional:
             self.wgt = wgt
 
     def _partials(self, u):
-        return (d_axis(u, self.grid.dx1, 0, self.sides[0]),
-                d_axis(u, self.grid.dx2, 1, self.sides[1]))
+        return (d_axis(u, self.grid.dx1, self.axes[0], self.sides[0]),
+                d_axis(u, self.grid.dx2, self.axes[1], self.sides[1]))
 
     def _partials_adjoint(self, w1, w2):
-        return (d_axis_adjoint(w1, self.grid.dx1, 0, self.sides[0])
-                + d_axis_adjoint(w2, self.grid.dx2, 1, self.sides[1]))
+        return (d_axis_adjoint(w1, self.grid.dx1, self.axes[0], self.sides[0])
+                + d_axis_adjoint(w2, self.grid.dx2, self.axes[1],
+                                 self.sides[1]))
 
     def apply_form(self, M, v):
         """D^T M D v for a symmetric 2x2 form M of shape (nx, ny, 2, 2).
@@ -149,12 +172,13 @@ class EnergyFunctional:
                                       M[..., 0, 1] * du1 + M[..., 1, 1] * du2)
 
     def value(self, u):
+        """Energy of u: a float, or a list of one per batched candidate."""
         du1, du2 = self._partials(u)
         if self.base_form is not None:
             M = self.base_form
             q = (M[..., 0, 0] * du1 * du1 + 2.0 * M[..., 0, 1] * du1 * du2
                  + M[..., 1, 1] * du2 * du2)
-            return float(np.sum(q))
+            return np.sum(q, axis=(-2, -1)).tolist()
         gi = self.g_inv
         a = du1[:, :, None]
         b = du2[:, :, None]
@@ -251,31 +275,43 @@ def _dilate_chebyshev(mask, cells):
 
 
 def _smooth_start(pinned, pin_vals, free_init, sweeps):
+    """Jacobi sweeps of the 4-neighbour mean over the free nodes, along the
+    last two axes; a leading batch axis smooths each candidate alone."""
     u = np.where(pinned, pin_vals, free_init)
     # neighbour count of every node: 4 inside, 3 on an edge, 2 at a corner
     c = np.zeros_like(u)
-    c[1:, :] += 1.0
-    c[:-1, :] += 1.0
-    c[:, 1:] += 1.0
-    c[:, :-1] += 1.0
+    c[..., 1:, :] += 1.0
+    c[..., :-1, :] += 1.0
+    c[..., :, 1:] += 1.0
+    c[..., :, :-1] += 1.0
     for _ in range(sweeps):
         s = np.zeros_like(u)
-        s[1:, :] += u[:-1, :]
-        s[:-1, :] += u[1:, :]
-        s[:, 1:] += u[:, :-1]
-        s[:, :-1] += u[:, 1:]
+        s[..., 1:, :] += u[..., :-1, :]
+        s[..., :-1, :] += u[..., 1:, :]
+        s[..., :, 1:] += u[..., :, :-1]
+        s[..., :, :-1] += u[..., :, 1:]
         u = np.where(pinned, pin_vals, s / c)
     return u
 
 
 def rasterize_condenser(cond, grid):
-    m0 = cond.c0.rasterize(grid)
-    m1 = cond.c1.rasterize(grid)
+    """The plate masks (m0, m1) of a condenser on the base grid."""
+    return cond.c0.rasterize(grid), cond.c1.rasterize(grid)
+
+
+def _admissible(m0, m1):
+    """Whether a plate pair needs a solve: False when the plates share a
+    node; ShapeError for an empty plate or plates closer than two cells."""
     if not m0.any():
         raise ShapeError("plate c0 rasterizes to no node on this grid")
     if not m1.any():
         raise ShapeError("plate c1 rasterizes to no node on this grid")
-    return m0, m1
+    if (m0 & m1).any():
+        return False
+    if (_dilate_chebyshev(m0, 2) & m1).any():
+        raise ShapeError("condenser plates are closer than two cells; "
+                         "refine the grid or separate the plates")
+    return True
 
 
 def minimize(cond, m, grid, cfg=SolverConfig(), power=2.0, region=None):
@@ -284,98 +320,197 @@ def minimize(cond, m, grid, cfg=SolverConfig(), power=2.0, region=None):
     Returns value +inf immediately when the rasterized plates share a node
     (degenerate condenser with a well-defined answer).  Raises ShapeError
     when plates are disjoint but separated by fewer than two cells, since
-    no free transition layer exists at this resolution.
+    no free transition layer exists at this resolution.  This is
+    ``minimize_all`` on a batch of one.
     """
-    m0, m1 = rasterize_condenser(cond, grid)
-    pinned = m0 | m1
+    (res,) = minimize_all([rasterize_condenser(cond, grid)], m, grid, cfg=cfg,
+                          power=power, region=region)
+    if isinstance(res, ShapeError):
+        raise res
+    return res
+
+
+def minimize_all(plates, m, grid, cfg=SolverConfig(), power=2.0, region=None):
+    """Capacities of many condensers on one metric and grid, in order.
+
+    ``plates`` yields rasterized plate pairs (m0, m1), m0 pinned to 0 and
+    m1 to 1, as ``rasterize_condenser`` returns them.  Yields one result
+    per pair: the CapacityResult of ``minimize``, or the ShapeError that
+    ``minimize`` raises for it, so an unusable pair stops no other.  The
+    pairs that need a solve go in batches of at most
+    ``bundle._NODES_PER_BLOCK`` base nodes, and at least one pair, for
+    p = 2, and one at a time for every other p.  Pairs are read as a batch
+    fills and its results yielded before the next batch is read, so a
+    caller that keeps only values holds one batch at a time.
+    """
+    per = 1
+    if float(power) == 2.0:
+        per = max(1, bundle._NODES_PER_BLOCK // (grid.nx * grid.ny))
+    plates = iter(plates)
+    while True:
+        queue, batch = [], []
+        for m0, m1 in plates:
+            try:
+                solve = _admissible(m0, m1)
+            except ShapeError as exc:
+                queue.append(exc)
+                continue
+            if solve:
+                queue.append(None)
+                batch.append((m0, m1))
+                if len(batch) == per:
+                    break
+            else:
+                # no admissible field: the shared nodes would be pinned to
+                # 0 and 1
+                queue.append(CapacityResult(
+                    value=math.inf, minimizer=None, iterations=0,
+                    final_gradient_norm=0.0, converged=True, grid=grid))
+        if not queue:
+            return
+        # popped, so no result outlives its batch here
+        solved = _solve(batch, m, grid, cfg, power, region) if batch else []
+        solved.reverse()
+        for item in queue:
+            yield solved.pop() if item is None else item
+
+
+def _solve(batch, m, grid, cfg, power, region):
+    """CapacityResults of admissible plate pairs: one batched p = 2
+    conjugate-gradient run, or Newton-CG for a single pair."""
+    m1 = np.stack([p[1] for p in batch])
+    pinned = np.stack([p[0] for p in batch]) | m1
     pin_vals = np.where(m1, 1.0, 0.0)
-
-    if (m0 & m1).any():
-        # no admissible field: the shared nodes would be pinned to 0 and 1
-        return CapacityResult(value=math.inf, minimizer=None, iterations=0,
-                              final_gradient_norm=0.0, converged=True,
-                              grid=grid)
-    if (_dilate_chebyshev(m0, 2) & m1).any():
-        raise ShapeError("condenser plates are closer than two cells; "
-                         "refine the grid or separate the plates")
-
-    func = EnergyFunctional(m, grid, power=power, region=region, pinned=pinned)
     u = _smooth_start(pinned, pin_vals, 0.5, _WARM_SWEEPS)
+    quadratic = float(power) == 2.0
 
-    if func.power == 2.0:
-        u, history, it, res = _conjugate_gradient(func, u, pinned, cfg)
-        converged = res < cfg.tol
-        E = None
+    if quadratic:
+        func = EnergyFunctional(m, grid, power=power, region=region,
+                                pinned=pinned)
+        u, histories, its, residuals = _conjugate_gradient(func, u, pinned,
+                                                           cfg)
+        runs = [(E, h, it, res, res < cfg.tol) for E, h, it, res in
+                zip(func.value(u), histories, its, residuals)]
     else:
-        u, E, history, it, res, converged = _newton(func, u, pinned, cfg)
-    free = u[~pinned]
-    finish = free.min() < 0.0 or free.max() > 1.0
-    if func.power != 2.0:
-        # a stalled line search hands over too; a solve stopped by max_iter
-        # has no budget left and is returned as it is
-        finish = it < cfg.max_iter and (finish or not converged)
-    if finish:
-        # finish by projection; counting the restart as one iteration
-        # keeps gradient calls = iterations + 1 on a converged solve
-        u, E, tail, more, res, converged = _projected_gradient(
-            func, np.clip(u, 0.0, 1.0), pinned, pin_vals, cfg,
-            max(cfg.max_iter - it, 0))
-        history += tail
-        it += 1 + more
-    elif E is None:
-        E = func.value(u)
+        func = EnergyFunctional(m, grid, power=power, region=region,
+                                pinned=pinned[0])
+        v, E, history, it, res, converged = _newton(func, u[0], pinned[0],
+                                                    cfg)
+        u = v[None]
+        runs = [(E, history, it, res, converged)]
 
-    return CapacityResult(value=E, minimizer=ScalarField(u, pinned),
-                          iterations=it, final_gradient_norm=res,
-                          converged=converged, grid=grid,
-                          energy_history=tuple(history))
+    out = []
+    for k, (E, history, it, res, converged) in enumerate(runs):
+        v = u[k]
+        free = v[~pinned[k]]
+        finish = free.min() < 0.0 or free.max() > 1.0
+        if not quadratic:
+            # a stalled line search hands over too; a solve stopped by
+            # max_iter has no budget left and is returned as it is
+            finish = it < cfg.max_iter and (finish or not converged)
+        if finish:
+            # finish alone by projection; counting the restart as one
+            # iteration keeps gradient calls = iterations + 1 on a
+            # converged solve
+            alone = EnergyFunctional(m, grid, power=power, region=region,
+                                     pinned=pinned[k]) if quadratic else func
+            v, E, tail, more, res, converged = _projected_gradient(
+                alone, np.clip(v, 0.0, 1.0), pinned[k], pin_vals[k], cfg,
+                max(cfg.max_iter - it, 0))
+            history = history + tail
+            it += 1 + more
+        out.append(CapacityResult(value=E, minimizer=ScalarField(v, pinned[k]),
+                                  iterations=it, final_gradient_norm=res,
+                                  converged=converged, grid=grid,
+                                  energy_history=tuple(history)))
+    return out
+
+
+def _rowdot(a, b):
+    """Dot products of the rows of a and b along all but the first axis.
+
+    matmul of (1, n) by (n, 1) blocks takes the dot that np.vdot takes, so
+    each row's sum is the one of np.vdot on that row alone, bit for bit.
+    """
+    k = a.shape[0]
+    return np.matmul(a.reshape(k, 1, -1), b.reshape(k, -1, 1)).reshape(k)
+
+
+def _rowmax(a):
+    """max |a| of each row along all but the first axis."""
+    return np.abs(a).reshape(a.shape[0], -1).max(axis=1)
 
 
 def _cg(apply, x, r, threshold, max_iter):
-    """Conjugate gradients (Hestenes-Stiefel) for A x = b, started at x.
+    """Conjugate gradients (Hestenes-Stiefel) for a batch of A x = b, started
+    at x.
 
-    ``apply(d)`` returns A d, zero on pinned nodes, and r = b - A x is
-    zero there too, so the iterates move only free nodes.  Stops when
-    max|r| falls below ``threshold``, after ``max_iter`` steps, or at a
-    direction without positive curvature (rounding, or a degenerate
-    Hessian where the p != 2 energy is flat).  Returns (x, r, drops),
-    where drops[i] = alpha_i r_i.r_i is twice the decrease of
-    x.A x / 2 - b.x at step i.
+    x and the residual r = b - A x carry a leading batch axis, one
+    independent system per row.  ``apply(d)`` returns A d row by row, zero
+    on pinned nodes, and r is zero there too, so the iterates move only
+    free nodes.  Row k stops when max|r_k| falls below ``threshold`` (a
+    scalar, or one per row), after ``max_iter`` steps, or at a direction
+    without positive curvature (rounding, or a degenerate Hessian where
+    the p != 2 energy is flat).  A stopped row is frozen while the others
+    go on; each row keeps its own alpha, beta and step count, and every
+    dot product is taken row by row, so a row's steps are bit for bit
+    those it takes alone.  Returns (x, r, drops), where drops[k][i] =
+    alpha_i r_i.r_i is twice the decrease of x.A x / 2 - b.x at step i of
+    row k.
     """
-    rr = float(np.vdot(r, r))
+    n = x.shape[0]
+    x = x.copy()
+    r = r.copy()
     d = r.copy()
-    drops = []
-    while float(np.max(np.abs(r))) >= threshold and len(drops) < max_iter:
-        Ad = apply(d)
-        dAd = float(np.vdot(d, Ad))
-        if not dAd > 0.0:
+    rr = _rowdot(r, r)
+    live = _rowmax(r) >= threshold
+    drops = [[] for _ in range(n)]
+    col = (-1,) + (1,) * (x.ndim - 1)
+    # a row that misses a step stays frozen, so every live row has taken
+    # one step per pass and max_iter bounds the passes
+    for _ in range(max_iter):
+        if not live.any():
             break
-        alpha = rr / dAd
-        x = x + alpha * d
-        r = r - alpha * Ad
-        drops.append(alpha * rr)
-        rr_new = float(np.vdot(r, r))
-        d = r + (rr_new / rr) * d
-        rr = rr_new
+        Ad = apply(d)
+        dAd = _rowdot(d, Ad)
+        live &= dAd > 0.0
+        k = np.flatnonzero(live)
+        if k.size == 0:
+            break
+        # views of every row, or copies of the live rows written back below
+        sub = slice(None) if k.size == n else k
+        xk, rk, dk = x[sub], r[sub], d[sub]
+        alpha = rr[sub] / dAd[sub]
+        xk += alpha.reshape(col) * dk
+        rk -= alpha.reshape(col) * Ad[sub]
+        rr_new = _rowdot(rk, rk)
+        dk *= (rr_new / rr[sub]).reshape(col)
+        dk += rk
+        if k.size < n:
+            x[k], r[k], d[k] = xk, rk, dk
+        for i, drop in zip(k.tolist(), (alpha * rr[sub]).tolist()):
+            drops[i].append(drop)
+        rr[sub] = rr_new
+        live &= _rowmax(r) >= threshold
     return x, r, drops
 
 
 def _conjugate_gradient(func, u, pinned, cfg):
-    """Minimize a p = 2 functional over the free nodes by conjugate gradients.
+    """Minimize a batched p = 2 functional over the free nodes by conjugate
+    gradients.
 
     ``0.5 * func.gradient`` is linear, so with pinned entries zeroed it is
     the free-node operator A, and r = -0.5 * gradient(u) is the residual.
-    One gradient call gives the initial residual and one per iteration
-    gives A d for the search direction d.  The energy history follows
-    from E = 0.5 u . gradient(u) and the exact decrease alpha r.r of each
-    step, without value calls.
-    Stops when 2 max|r|, the max-norm of the free gradient, falls below
-    ``cfg.tol`` or after ``cfg.max_iter`` steps; returns (u, history,
-    iterations, 2 max|r|).
+    One gradient call on the whole batch gives the initial residuals and
+    one per batched iteration gives A d for the search directions d.  The
+    energy histories follow from E = 0.5 u . gradient(u) and the exact
+    decrease alpha r.r of each step, without value calls.  A candidate
+    stops when 2 max|r|, the max-norm of its free gradient, falls below
+    ``cfg.tol`` or after ``cfg.max_iter`` steps; returns (u, histories,
+    iterations, residuals 2 max|r|), one entry per candidate.
     """
     g = func.gradient(u)
-    E = 0.5 * float(np.vdot(u, g))
-    history = [E]
+    energies = (0.5 * _rowdot(u, g)).tolist()
     r = -0.5 * g
     r[pinned] = 0.0
 
@@ -385,10 +520,15 @@ def _conjugate_gradient(func, u, pinned, cfg):
         return Ad
 
     u, r, drops = _cg(apply, u, r, 0.5 * cfg.tol, cfg.max_iter)
-    for drop in drops:
-        E -= drop
-        history.append(E)
-    return u, history, len(drops), 2.0 * float(np.max(np.abs(r)))
+    histories = []
+    for E, row in zip(energies, drops):
+        history = [E]
+        for drop in row:
+            E -= drop
+            history.append(E)
+        histories.append(history)
+    return (u, histories, [len(row) for row in drops],
+            (2.0 * _rowmax(r)).tolist())
 
 
 def _newton(func, u, pinned, cfg):
@@ -420,14 +560,13 @@ def _newton(func, u, pinned, cfg):
         H = func.hessian_form(u)
 
         def apply(d):
-            Hd = func.apply_form(H, d)
+            Hd = func.apply_form(H, d[0])
             Hd[pinned] = 0.0
-            return Hd
+            return Hd[None]
 
-        s, _, drops = _cg(apply, np.zeros_like(u), -g,
-                          min(0.5, math.sqrt(res)) * res, g.size)
-        if not drops:
-            s = -g
+        s, _, (drops,) = _cg(apply, np.zeros((1,) + u.shape), -g[None],
+                             min(0.5, math.sqrt(res)) * res, g.size)
+        s = s[0] if drops else -g
         slope = float(np.vdot(g, s))
         t = 1.0
         while True:

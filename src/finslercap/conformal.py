@@ -32,7 +32,8 @@ import numpy as np
 
 from . import dual as dm
 from .bundle import ScalarField, SphereBundleGrid, volume_density
-from .capacity import CondenserSpec, SolverConfig, energy, minimize
+from .capacity import (CondenserSpec, SolverConfig, energy, minimize,
+                       minimize_all, rasterize_condenser)
 from .errors import DomainError, MapError, ShapeError
 from .exprs import ScalarExpr, const, log_radial, precompose_affine
 from .maps import PlanarMap, identity_map, image_bbox, power_map, similarity
@@ -462,22 +463,27 @@ class InvariantResult:
     continuum: CondenserSpec | None = None
 
 
-def _solve_catalog(name, pairs, m, grid, cfg, power):
-    def one(cond):
-        try:
-            r = minimize(cond, m, grid, cfg=cfg, power=power)
-            return (r.value, r.converged)
-        except ShapeError:
-            # candidate unusable at this resolution; drop it from the catalog
-            return None
+def _outcome(res):
+    """(value, converged) of a candidate's result, or None for a candidate
+    dropped as unusable at this resolution (a ShapeError); mapped over the
+    results, so no minimizer outlives its batch."""
+    if isinstance(res, ShapeError):
+        return None
+    return res.value, res.converged
 
-    # candidates whose plates rasterize alike pose one discrete problem
-    keys = [(c.c0.rasterize(grid).tobytes(), c.c1.rasterize(grid).tobytes())
-            for c in pairs]
-    distinct = {}
-    for k, c in zip(keys, pairs):
-        distinct.setdefault(k, c)
-    solved = {k: one(c) for k, c in distinct.items()}
+
+def _solve_catalog(name, pairs, m, grid, cfg, power):
+    # candidates whose plates rasterize alike pose one discrete problem;
+    # each is rasterized once, and its plate pair kept as packed bits, the
+    # dedupe key, until the batch that solves it unpacks it
+    keys = [np.packbits(rasterize_condenser(c, grid)).tobytes() for c in pairs]
+    distinct = list(dict.fromkeys(keys))
+    shape = (2,) + grid.base_shape
+    plates = (np.unpackbits(np.frombuffer(k, dtype=np.uint8),
+                            count=math.prod(shape)).view(bool).reshape(shape)
+              for k in distinct)
+    solved = dict(zip(distinct, map(_outcome, minimize_all(
+        plates, m, grid, cfg=cfg, power=power))))
     outs = [solved[k] for k in keys]
     skipped = outs.count(None)
     vals = tuple(math.inf if o is None else o[0] for o in outs)

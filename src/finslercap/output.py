@@ -10,9 +10,10 @@ The base-field emitters work an array at a time: the grid coordinates
 are formatted once per axis and every value once, and the heatmap's
 ramp positions and colors are computed for the whole field in numpy
 with the float64 operations of the per-cell definition, so each row or
-rect is one join of precomputed strings.  ``format_number`` stays the
-only definition of a cell's text; the files are byte for byte those of
-formatting every node on its own.
+rect is one join of precomputed strings.  The base-field CSV is formatted
+and written one x1 row of nodes at a time, so its text is never held
+whole.  ``format_number`` stays the only definition of a cell's text; the
+files are byte for byte those of formatting every node on its own.
 """
 
 import itertools
@@ -45,14 +46,21 @@ def _cell(x):
     return format_number(x)
 
 
-def atomic_write(path, text):
-    """Write text to path via a same-directory temp file and rename."""
+def atomic_write(path, text, chunks=()):
+    """Write text, then each string of ``chunks`` in turn, to path via a
+    same-directory temp file and rename.
+
+    ``chunks`` may be a generator, so a large file is formatted piece by
+    piece and never held whole.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -73,16 +81,16 @@ def _check_base_shape(grid, values):
 
 
 def base_field_csv(path, grid, values):
-    """Base-grid scalar field as i,j,x1,x2,value rows."""
+    """Base-grid scalar field as i,j,x1,x2,value rows, written one x1 row
+    of nodes at a time."""
     values = np.asarray(values)
     _check_base_shape(grid, values)
     xs = [format_number(x) for x in grid.x1.tolist()]
     ys = [format_number(y) for y in grid.x2.tolist()]
-    cells = map(format_number, values.ravel().tolist())
-    lines = ["i,j,x1,x2,value"]
-    lines += [f"{i},{j},{x},{y},{v}" for ((i, x), (j, y)), v in
-              zip(itertools.product(enumerate(xs), enumerate(ys)), cells)]
-    atomic_write(path, "\n".join(lines) + "\n")
+    rows = ("".join([f"{i},{j},{x},{y},{v}\n" for (j, y), v in
+                     zip(enumerate(ys), map(format_number, row.tolist()))])
+            for (i, x), row in zip(enumerate(xs), values))
+    atomic_write(path, "i,j,x1,x2,value\n", rows)
 
 
 def reports_csv(path, reports):

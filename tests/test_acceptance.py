@@ -7,7 +7,7 @@ checks of the ``finslercap.selftest`` registry at larger sizes than
 ``finslercap selftest`` does, and the others share its metric catalog.
 Slow solves dominate: the annulus oracle runs a 128x128x64 grid and
 the point-invariant harness runs catalog solves on three map/metric
-pairs.  The full module takes about 5 s (05: 1.4 s, 09: 3.0 s).
+pairs.  The full module takes about 4 s (05: 1.1 s, 09: 1.3 s).
 """
 
 import math
@@ -253,7 +253,7 @@ def test_09_point_invariants_across_maps():
                 cm, which, q, g, cfg=cfg, tol=5e-2))
     ok = all(r.passed for r in reports)
     worst = max(r.max_rel_err for r in reports)
-    _criterion("09 point invariants across maps", 120.0, ok,
+    _criterion("09 point invariants across maps", 30.0, ok,
                time.perf_counter() - t0,
                f"mu and rho on {len(maps)} maps, worst rel {worst:.1e}")
 

@@ -12,7 +12,7 @@ from finslercap.bundle import (ScalarField, SphereBundleGrid, fiber_form,
 import finslercap.capacity as capacity
 from finslercap.capacity import (CondenserSpec, EnergyFunctional, SolverConfig,
                                  cap_compact, energy, energy_gradient,
-                                 minimize, rasterize_condenser)
+                                 minimize, minimize_all, rasterize_condenser)
 from finslercap.errors import ShapeError
 from finslercap.exprs import const, exponential, linear, sinusoid
 from finslercap.metrics import (conformal_wrap, euclidean,
@@ -439,6 +439,131 @@ def test_p2_range_fallback_returns_an_admissible_minimizer(monkeypatch):
     assert np.all((u >= 0.0) & (u <= 1.0))
     assert len(calls) == res.iterations + 1
     assert res.value == pytest.approx(plain.value, rel=1e-6)
+
+
+def batch_sizes(monkeypatch):
+    """Leading sizes of the fields handed to EnergyFunctional.gradient: the
+    batch size for a batched call, 0 for a single base field."""
+    sizes = []
+    gradient = EnergyFunctional.gradient
+
+    def recording(self, u):
+        sizes.append(u.shape[0] if np.ndim(u) == 3 else 0)
+        return gradient(self, u)
+
+    monkeypatch.setattr(EnergyFunctional, "gradient", recording)
+    return sizes
+
+
+def same_result(a, b):
+    """Bit for bit: value, iterations, residual, convergence, history and
+    minimizer."""
+    return (a.value == b.value and a.iterations == b.iterations
+            and a.final_gradient_norm == b.final_gradient_norm
+            and a.converged == b.converged
+            and a.energy_history == b.energy_history
+            and a.minimizer.values.tobytes() == b.minimizer.values.tobytes()
+            and np.array_equal(a.minimizer.pinned, b.minimizer.pinned))
+
+
+@pytest.mark.parametrize("m", [EUCLID, RANDERS, CONF],
+                         ids=["euclid", "randers", "conformal"])
+def test_batched_candidates_match_their_batch_of_one(monkeypatch, m):
+    g = grid(n=24)
+    cfg = SolverConfig(tol=1e-6)
+    ring = disk_complement(0.0, 0.0, 1.6)
+    conds = [CondenserSpec(ring, disk(0.0, 0.0, 0.6)),
+             CondenserSpec(ring, disk(0.3, -0.2, 0.4)),
+             CondenserSpec(outer_boundary(),
+                           polyline(((-0.6, -0.3), (0.1, 0.4), (0.6, 0.3)),
+                                    0.2)),
+             CondenserSpec(ring, rectangle(-0.5, -0.2, 0.4, 0.3))]
+    alone = [minimize(c, m, g, cfg=cfg) for c in conds]
+    sizes = batch_sizes(monkeypatch)
+    together = list(minimize_all([rasterize_condenser(c, g) for c in conds],
+                                 m, g, cfg=cfg))
+    for a, b in zip(together, alone):
+        assert a.converged and same_result(a, b)
+    # one batch of four, run until its slowest candidate stops
+    its = [r.iterations for r in alone]
+    assert len(set(its)) > 1
+    assert sizes == [len(conds)] * (max(its) + 1)
+
+
+def test_row_dots_sum_as_vdot_does():
+    # the batched CG loop relies on it: each row's dot is the one that row
+    # gets alone, whatever the batch size
+    rng = np.random.default_rng(11)
+    for shape in ((1, 24, 24), (13, 24, 24), (3, 64, 37)):
+        a, b = rng.standard_normal(shape), rng.standard_normal(shape)
+        assert capacity._rowdot(a, b).tolist() == [
+            float(np.vdot(x, y)) for x, y in zip(a, b)]
+
+
+def test_functional_rejects_pin_masks_off_the_grid():
+    g = grid(n=12)
+    with pytest.raises(ShapeError, match="base shape"):
+        EnergyFunctional(EUCLID, g, pinned=np.zeros((12, 11), dtype=bool))
+    batch = np.zeros((2, 12, 12), dtype=bool)
+    EnergyFunctional(EUCLID, g, pinned=batch)
+    with pytest.raises(ShapeError, match="p = 2"):
+        EnergyFunctional(EUCLID, g, power=3.0, pinned=batch)
+
+
+def test_mixed_batch_gives_each_candidate_its_own_answer(monkeypatch):
+    g = grid(n=24)
+    cfg = SolverConfig(tol=1e-6)
+    ring = disk_complement(0.0, 0.0, 1.5)
+    finite = CondenserSpec(ring, disk(0.0, 0.0, 0.6))
+    forced = CondenserSpec(ring, disk(0.2, 0.1, 0.4))
+    other = CondenserSpec(outer_boundary(), disk(-0.3, 0.2, 0.5))
+    overlap = CondenserSpec(disk(0.0, 0.0, 0.5), disk(0.3, 0.0, 0.5))
+    # disjoint, but closer than two cells
+    dropped = CondenserSpec(disk(0.0, 0.0, 0.5), disk(0.9, 0.0, 0.2))
+    empty = CondenserSpec(ring, disk(0.05, 0.05, 0.01))
+    conds = [overlap, finite, dropped, forced, empty, other]
+    plain = minimize(forced, CONF, g, cfg=cfg)
+
+    target = np.logical_or(*rasterize_condenser(forced, g))
+    cg = capacity._conjugate_gradient
+
+    def overshoot(func, u, pinned, cfg):
+        u, histories, its, res = cg(func, u, pinned, cfg)
+        hit = np.array([np.array_equal(p, target) for p in pinned])
+        # leaves [0, 1] both ways on the forced candidate only
+        u = np.where(hit[:, None, None] & ~pinned, 1.5 * u - 0.25, u)
+        return u, histories, its, res
+
+    monkeypatch.setattr(capacity, "_conjugate_gradient", overshoot)
+    expected = []
+    for c in conds:
+        try:
+            expected.append(minimize(c, CONF, g, cfg=cfg))
+        except ShapeError as exc:
+            expected.append(exc)
+    sizes = batch_sizes(monkeypatch)
+    got = list(minimize_all([rasterize_condenser(c, g) for c in conds], CONF,
+                            g, cfg=cfg))
+    assert len(got) == len(conds)
+    assert math.isinf(got[0].value) and got[0].converged
+    assert got[0].iterations == 0 and got[0].minimizer is None
+    for k in (2, 4):
+        assert isinstance(got[k], ShapeError)
+        assert str(got[k]) == str(expected[k])
+    assert "closer than two cells" in str(got[2])
+    assert "no node" in str(got[4])
+    for k in (1, 3, 5):
+        assert same_result(got[k], expected[k])
+    fallback = got[3]
+    u = fallback.minimizer.values
+    assert fallback.converged and fallback.iterations > plain.iterations + 1
+    assert np.all((u >= 0.0) & (u <= 1.0))
+    assert fallback.value == pytest.approx(plain.value, rel=1e-6)
+    # one batch of the three solvable candidates; the fallback candidate
+    # took part in plain.iterations + 1 of its calls and finished alone
+    batched = [s for s in sizes if s]
+    assert set(batched) == {3}
+    assert plain.iterations + 1 + sizes.count(0) == fallback.iterations + 1
 
 
 @pytest.mark.filterwarnings("error")

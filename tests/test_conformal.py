@@ -2,12 +2,15 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from finslercap import bundle
 from finslercap.bundle import SphereBundleGrid
-from finslercap.capacity import CondenserSpec, SolverConfig
+from finslercap.capacity import (CondenserSpec, EnergyFunctional,
+                                 SolverConfig, minimize)
 from finslercap.conformal import (CheckReport, InvariantQuery, bundle_map,
                                   bundle_map_jacobian, catalog,
                                   check_capacity_invariance,
@@ -333,22 +336,73 @@ def test_catalog_solves_each_rasterized_problem_once(monkeypatch):
     g = grid(n=24)
     cfg = SolverConfig(tol=1e-6)
     q = InvariantQuery(points=((-0.6, -0.3), (0.6, 0.3)))
-    calls = []
-    solve = conformal.minimize
+    handed = []
+    solve_all = conformal.minimize_all
 
-    def counting(cond, *args, **kwargs):
-        calls.append(cond)
-        return solve(cond, *args, **kwargs)
+    def counting(plates, *args, **kwargs):
+        def pulled():
+            for pair in plates:
+                handed.append(pair)
+                yield pair
+        return solve_all(pulled(), *args, **kwargs)
 
-    monkeypatch.setattr(conformal, "minimize", counting)
+    monkeypatch.setattr(conformal, "minimize_all", counting)
     res = invariant("mu", q, CONF, g, cfg=cfg)
     assert len(res.candidate_values) == 15
-    assert len(calls) == 13
+    assert len(handed) == 13
+    assert len({(m0.tobytes(), m1.tobytes()) for m0, m1 in handed}) == 13
     # every candidate, duplicates included, gets its own solve's value
-    direct = [solve(c, CONF, g, cfg=cfg).value
+    direct = [conformal.minimize(c, CONF, g, cfg=cfg).value
               for c in conformal.catalog("mu", q, g)]
     assert res.candidate_values == tuple(direct)
     assert res.winner == direct.index(min(direct))
+
+
+def test_one_candidate_per_batch_gives_the_same_catalog(monkeypatch):
+    g = grid(n=24)
+    cfg = SolverConfig(tol=1e-6)
+    q = InvariantQuery(points=((-0.6, -0.3), (0.6, 0.3)))
+    sizes = []
+    gradient = EnergyFunctional.gradient
+
+    def recording(self, u):
+        sizes.append(len(u))
+        return gradient(self, u)
+
+    monkeypatch.setattr(EnergyFunctional, "gradient", recording)
+    together = invariant("mu", q, CONF, g, cfg=cfg)
+    assert set(sizes) == {13}
+    del sizes[:]
+    monkeypatch.setattr(bundle, "_NODES_PER_BLOCK", g.nx * g.ny)
+    alone = invariant("mu", q, CONF, g, cfg=cfg)
+    assert set(sizes) == {1}
+    assert alone.candidate_values == together.candidate_values
+    assert (alone.winner, alone.converged) == (together.winner,
+                                               together.converged)
+
+
+def test_catalog_peak_memory_stays_near_one_solve(monkeypatch):
+    """With one candidate per batch, a catalog solve holds no more than
+    one candidate's solve at a time: its traced peak stays within 1.25x
+    the peak of a single minimize on the same grid (the fold is cached
+    before either is traced)."""
+    g = grid(n=48)
+    monkeypatch.setattr(bundle, "_NODES_PER_BLOCK", g.nx * g.ny)
+    cfg = SolverConfig(tol=1e-6)
+    q = InvariantQuery(points=((-0.6, -0.3), (0.6, 0.3)))
+    first = catalog("mu", q, g)[0]
+    minimize(first, CONF, g, cfg=cfg)
+    peaks = []
+    for solve in (lambda: minimize(first, CONF, g, cfg=cfg),
+                  lambda: invariant("mu", q, CONF, g, cfg=cfg)):
+        tracemalloc.start()
+        try:
+            solve()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    single, whole = peaks
+    assert whole <= 1.25 * single
 
 
 def test_nu_returns_a_finite_catalog_minimum():

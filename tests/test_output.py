@@ -8,6 +8,7 @@ Every written file must match it byte for byte.
 """
 
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from finslercap import output
 from finslercap.bundle import SphereBundleGrid
 from finslercap.errors import ShapeError
 from finslercap.output import (atomic_write, base_field_csv, svg_heatmap,
@@ -141,6 +143,45 @@ def test_emitters_match_reference_on_drawn_fields(tmp_path_factory, data):
         assert (directory / "f.svg").read_text().count("<rect") == nx * ny
         return
     _assert_same_files(directory, grid, values, title)
+
+
+def test_base_field_csv_writes_one_x1_row_per_chunk(tmp_path, monkeypatch):
+    grid = SphereBundleGrid(-1.5, 0.7, -0.3, 2.0, nx=33, ny=17, ntheta=8)
+    values = _special(grid.base_shape)
+    _reference_csv(str(tmp_path / "ref.csv"), grid, values)
+    written = []
+    write = output.atomic_write
+
+    def recording(path, text, chunks=()):
+        chunks = list(chunks)
+        written.append((text, chunks))
+        write(path, text, chunks)
+
+    monkeypatch.setattr(output, "atomic_write", recording)
+    base_field_csv(str(tmp_path / "f.csv"), grid, values)
+    ((header, chunks),) = written
+    assert header == "i,j,x1,x2,value\n"
+    assert len(chunks) == grid.nx
+    for i, chunk in enumerate(chunks):
+        lines = chunk.splitlines()
+        assert len(lines) == grid.ny and chunk.endswith("\n")
+        assert all(line.startswith(f"{i},{j},") for j, line in enumerate(lines))
+    assert ((tmp_path / "f.csv").read_bytes()
+            == (tmp_path / "ref.csv").read_bytes())
+
+
+def test_base_field_csv_never_holds_the_whole_file(tmp_path):
+    grid = SphereBundleGrid(-1, 1, -1, 1, nx=256, ny=256, ntheta=8)
+    values = np.random.default_rng(3).standard_normal(grid.base_shape)
+    path = tmp_path / "f.csv"
+    tracemalloc.start()
+    try:
+        base_field_csv(str(path), grid, values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the file is ASCII: its size is the length of the whole-file string
+    assert peak < path.stat().st_size / 4
 
 
 def test_heatmap_ramp_spans_a_range_wider_than_float64(tmp_path):
